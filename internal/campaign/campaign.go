@@ -96,10 +96,21 @@ type WeightedScenario interface {
 	Weighted() bool
 }
 
+// MaxTrials is the largest trial count a scenario may declare: the
+// number of distinct per-trial streams TrialSeed yields under
+// math/rand's seeding.
+const MaxTrials = 1<<31 - 1
+
 // TrialSeed derives the deterministic per-trial RNG seed every
 // scenario in this repository uses: reseeding a worker-owned
 // generator with TrialSeed(base, i) makes trial i reproducible
 // regardless of which worker runs it, without per-trial allocation.
+//
+// math/rand's Seed reduces its argument mod the prime 2^31-1, and the
+// trial stride is nonzero mod that prime, so trials 0..MaxTrials-1 get
+// distinct streams while trial i and trial i+MaxTrials replay the same
+// one. NewPlan therefore rejects scenarios of more than MaxTrials
+// trials.
 func TrialSeed(base int64, trial int) int64 {
 	return base + int64(trial)*0x9E3779B9
 }

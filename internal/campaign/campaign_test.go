@@ -347,3 +347,30 @@ func TestTrialSeedMatchesMemsimConvention(t *testing.T) {
 		t.Fatalf("TrialSeed = %d, want %d", got, want)
 	}
 }
+
+// TestNewPlanTrialCap: math/rand reduces TrialSeed mod 2^31-1, so
+// trial i and trial i+MaxTrials replay one stream; NewPlan accepts
+// exactly MaxTrials trials and rejects one more, naming the cap and
+// the reason.
+func TestNewPlanTrialCap(t *testing.T) {
+	first := func(trial int) int64 { return rand.New(rand.NewSource(TrialSeed(7, trial))).Int63() }
+	if first(5) != first(5+MaxTrials) {
+		t.Fatal("trial i and i+MaxTrials draw different streams; the cap no longer matches the seeding")
+	}
+	if first(0) == first(MaxTrials-1) {
+		t.Error("trials 0 and MaxTrials-1 share a stream")
+	}
+
+	if _, err := NewPlan(&coinScenario{name: "at-cap", trials: MaxTrials}, 0, Whole); err != nil {
+		t.Errorf("MaxTrials trials rejected: %v", err)
+	}
+	_, err := NewPlan(&coinScenario{name: "over-cap", trials: MaxTrials + 1}, 0, Whole)
+	if err == nil {
+		t.Fatal("MaxTrials+1 trials accepted")
+	}
+	for _, want := range []string{"over-cap", "2147483647", "2^31-1", "same stream"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

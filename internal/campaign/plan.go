@@ -102,8 +102,9 @@ type Plan struct {
 	Weighted bool
 }
 
-// NewPlan validates the scenario geometry and computes the partition's
-// shard range. shardSize <= 0 selects DefaultShardSize.
+// NewPlan validates the scenario geometry (1..MaxTrials trials) and
+// computes the partition's shard range. shardSize <= 0 selects
+// DefaultShardSize.
 func NewPlan(scn Scenario, shardSize int, part Partition) (*Plan, error) {
 	if scn == nil {
 		return nil, fmt.Errorf("campaign: nil scenario")
@@ -111,6 +112,11 @@ func NewPlan(scn Scenario, shardSize int, part Partition) (*Plan, error) {
 	total := scn.Trials()
 	if total <= 0 {
 		return nil, fmt.Errorf("campaign: scenario %q has no trials", scn.Name())
+	}
+	if total > MaxTrials {
+		return nil, fmt.Errorf("campaign: scenario %q has %d trials, above the cap of %d (2^31-1): "+
+			"math/rand reduces per-trial seeds mod 2^31-1, so trial i and trial i+%d would replay the same stream",
+			scn.Name(), total, MaxTrials, MaxTrials)
 	}
 	if part == (Partition{}) {
 		part = Whole

@@ -290,6 +290,19 @@ func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) er
 	return nil
 }
 
+// Codeword returns stripe s of the codec's word arena as the last
+// DecodeTo that returned nil left it: the corrected n-symbol codeword
+// if the stripe decoded, the received symbols if it is in
+// FailedStripes. Stored index j*depth+s of the page holds
+// Codeword(s)[j]. For a systematic code a decoded stripe equals the
+// encoding of its data, so a scrub can write it back without
+// re-encoding. The slice aliases the arena and is valid only until
+// the next decode on c.
+func (c *Codec) Codeword(s int) []gf.Elem {
+	n := c.page.code.N()
+	return c.arena[s*n : (s+1)*n : (s+1)*n]
+}
+
 // DecodeSequence decodes a stream of stored pages through the codec's
 // reusable workspace — the page-level form of rs.DecodeStream for
 // scrubbing a store page by page. fill is called before each page and

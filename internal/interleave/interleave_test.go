@@ -2,6 +2,7 @@ package interleave
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -446,4 +447,93 @@ func BenchmarkCodecDecodePageDepth8Burst(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestCodewordIsCorrectedStripe is the identity scrub write-back rests
+// on: after DecodeTo over randomly faulted pages (heavy errors, so
+// RS(18,16) miscorrects, plus erasure lists), every decoded stripe's
+// Codeword is a codeword equal to the encoding of that stripe's
+// recovered data, and every failed stripe's Codeword is the received
+// symbols.
+func TestCodewordIsCorrectedStripe(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	miscorrected := map[*rs.Code]int{}
+	failed := 0
+	for _, c := range []*rs.Code{code, code36} {
+		for _, depth := range []int{1, 4, 8} {
+			p, err := New(c, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codec := p.NewCodec()
+			n, k := c.N(), c.K()
+			stored := make([]gf.Elem, p.StoredSymbols())
+			received := make([]gf.Elem, p.StoredSymbols())
+			stripeData := make([]gf.Elem, k)
+			want := make([]gf.Elem, n)
+			var res DecodeResult
+			for trial := 0; trial < 300; trial++ {
+				if err := codec.EncodeTo(stored, randPage(rng, p)); err != nil {
+					t.Fatal(err)
+				}
+				truth := append([]gf.Elem(nil), stored...)
+				for _, i := range rng.Perm(len(stored))[:rng.Intn(depth*(n-k)+depth+1)] {
+					stored[i] ^= gf.Elem(1 + rng.Intn(255))
+				}
+				erasures := rng.Perm(len(stored))[:rng.Intn(depth*(n-k)+1)]
+				copy(received, stored)
+				if err := codec.DecodeTo(&res, stored, erasures); err != nil {
+					t.Fatal(err)
+				}
+				isFailed := make([]bool, depth)
+				for _, s := range res.FailedStripes {
+					isFailed[s] = true
+				}
+				for s := 0; s < depth; s++ {
+					cw := codec.Codeword(s)
+					if len(cw) != n {
+						t.Fatalf("Codeword(%d) has %d symbols, want %d", s, len(cw), n)
+					}
+					if isFailed[s] {
+						failed++
+						for j := range cw {
+							if cw[j] != received[j*depth+s] {
+								t.Fatalf("%v depth %d trial %d: failed stripe %d symbol %d = %d, received %d",
+									c, depth, trial, s, j, cw[j], received[j*depth+s])
+							}
+						}
+						continue
+					}
+					if !c.IsCodeword(cw) {
+						t.Fatalf("%v depth %d trial %d: decoded stripe %d has nonzero syndromes", c, depth, trial, s)
+					}
+					for j := range stripeData {
+						stripeData[j] = res.Data[j*depth+s]
+					}
+					if err := c.EncodeTo(want, stripeData); err != nil {
+						t.Fatal(err)
+					}
+					for j := range cw {
+						if cw[j] != want[j] {
+							t.Fatalf("%v depth %d trial %d: stripe %d symbol %d = %d, re-encode gives %d",
+								c, depth, trial, s, j, cw[j], want[j])
+						}
+					}
+					for j := range cw {
+						if cw[j] != truth[j*depth+s] {
+							miscorrected[c]++
+							break
+						}
+					}
+				}
+				if !slices.Equal(stored, received) {
+					t.Fatalf("%v depth %d trial %d: DecodeTo modified the stored page", c, depth, trial)
+				}
+			}
+		}
+	}
+	if miscorrected[code] == 0 || failed == 0 {
+		t.Errorf("property not exercised: %d RS(18,16) miscorrections, %d failed stripes", miscorrected[code], failed)
+	}
+	t.Logf("miscorrected stripes: %d RS(18,16), %d RS(36,16); %d failed", miscorrected[code], miscorrected[code36], failed)
 }

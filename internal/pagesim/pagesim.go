@@ -276,7 +276,7 @@ const (
 	CounterStuckUnlocatedReads = "stuck_unlocated_reads"
 
 	// CounterScrubDecodeErrors counts scrub passes abandoned because
-	// the page decode (or the rewrite re-encode) failed structurally.
+	// the page decode failed structurally.
 	// Such failures are impossible for a validated configuration, so
 	// the counter is normally absent; a nonzero value is surfaced by
 	// cmd/campaign instead of being silently swallowed (the abandoned
@@ -420,9 +420,10 @@ func (s *scenario) NewWorker() (campaign.Worker, error) {
 // worker owns the per-goroutine scratch of a page campaign: the
 // reusable page codec (whose DecodeTo runs each page through the rs
 // batch arena path, so healthy stripes cost only the syndrome
-// screen), the RNG (reseeded per trial), the stored-page state and
-// every erasure/reencode buffer, so the steady state performs no
-// per-trial heap allocation.
+// screen, and whose arena holds the corrected codewords scrub writes
+// back), the RNG (reseeded per trial), the stored-page state and
+// every erasure buffer, so the steady state performs no per-trial
+// heap allocation.
 type worker struct {
 	cfg    Config
 	dist   burstlen.Dist
@@ -439,7 +440,6 @@ type worker struct {
 	data   []gf.Elem // page payload scratch
 	truth  []gf.Elem // ground-truth stored page
 	stored []gf.Elem // current stored page
-	reenc  []gf.Elem // re-encoded page for scrub rewrites
 
 	stuck   []bool    // whole-symbol stuck-at flags (physical)
 	located []bool    // stuck columns known to the controller
@@ -474,7 +474,6 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 		data:          make([]gf.Elem, page.DataSymbols()),
 		truth:         make([]gf.Elem, page.StoredSymbols()),
 		stored:        make([]gf.Elem, page.StoredSymbols()),
-		reenc:         make([]gf.Elem, page.StoredSymbols()),
 		stuck:         make([]bool, page.StoredSymbols()),
 		located:       make([]bool, page.StoredSymbols()),
 		strikeT:       make([]float64, page.StoredSymbols()),
@@ -731,10 +730,12 @@ func (w *worker) decode() error {
 	return nil
 }
 
-// doScrub decodes, corrects and rewrites the page at time t. Stripes
-// that fail to decode are left untouched (the controller has nothing
-// better to write back); stuck columns reassert themselves through
-// the rewrite. Under the scrub detection policy, an unlocated stuck
+// doScrub decodes, corrects and rewrites the page at time t, writing
+// back the corrected codewords the decode left in the codec's arena
+// (for a systematic code they equal the re-encoded data, so no encode
+// runs here). Stripes that fail to decode are left untouched (the
+// controller has nothing better to write back); stuck columns
+// reassert themselves through the rewrite. Under the scrub detection policy, an unlocated stuck
 // column whose symbol the (successful) decode corrected has been
 // observed deviating and becomes located for every later decode.
 func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
@@ -750,10 +751,6 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 		acc.Add(CounterScrubDecodeErrors, 1)
 		return
 	}
-	if err := w.codec.EncodeTo(w.reenc, w.res.Data); err != nil {
-		acc.Add(CounterScrubDecodeErrors, 1)
-		return
-	}
 	acc.Add(CounterScrubOps, 1)
 	depth := w.page.Depth()
 	for s := range w.failed {
@@ -762,20 +759,24 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 	for _, s := range w.res.FailedStripes {
 		w.failed[s] = true
 	}
-	for idx := range w.reenc {
-		if w.failed[idx%depth] {
+	// Ascending stored-index order keeps the time_to_location samples
+	// that locate appends in a fixed order.
+	for idx := range w.stored {
+		s := idx % depth
+		if w.failed[s] {
 			continue
 		}
+		sym := w.codec.Codeword(s)[idx/depth]
 		if w.stuck[idx] {
 			// The dead column reasserts itself through the rewrite; if
 			// the corrected codeword disagrees with what it drives, the
 			// controller has observed the deviation.
-			if w.policy == detScrub && !w.located[idx] && w.stored[idx] != w.reenc[idx] {
+			if w.policy == detScrub && !w.located[idx] && w.stored[idx] != sym {
 				w.locate(idx, t-w.strikeT[idx], trial, acc)
 			}
 			continue
 		}
-		w.stored[idx] = w.reenc[idx]
+		w.stored[idx] = sym
 	}
 }
 

@@ -179,7 +179,7 @@ func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 	}
 	rho := len(ers)
 	if rho > d {
-		e.err = fmt.Errorf("%w: %d erasures exceed n-k=%d", ErrUncorrectable, rho, d)
+		e.err = ErrTooManyErasures
 		return
 	}
 

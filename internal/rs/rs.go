@@ -137,7 +137,35 @@ type Code struct {
 // word is recognized as beyond the code's correction capability.
 // Bounded-distance decoding cannot detect every such pattern; the
 // undetected remainder surfaces as mis-correction.
+//
+// The Berlekamp-Massey decode paths (Decode, Decoder.Decode,
+// BatchDecoder.DecodeAll) return the per-reason sentinels below as
+// they are, never wrapped further. Each sentinel wraps
+// ErrUncorrectable, so errors.Is classifies both the class and the
+// reason:
+//
+//   - ErrTooManyErasures: more erasures than n-k;
+//   - ErrTooManyErrors: 2*errors + erasures exceed n-k;
+//   - ErrLocatorRoots: the errata locator has fewer roots inside the
+//     word than its degree;
+//   - ErrRepeatedRoot: the errata locator has a repeated root;
+//   - ErrResidualSyndromes: the corrected word is not a codeword.
+//
+// The sentinels are shared values whose messages no longer carry
+// erasure, error or root counts, so a detected failure allocates
+// nothing. Only the Sugiyama key-equation solver behind
+// DecodeEuclidean, the independent reference oracle, still formats
+// counted messages of its own.
 var ErrUncorrectable = errors.New("rs: uncorrectable word")
+
+// Per-reason uncorrectable outcomes; see ErrUncorrectable.
+var (
+	ErrTooManyErasures   = fmt.Errorf("%w: erasures exceed n-k", ErrUncorrectable)
+	ErrTooManyErrors     = fmt.Errorf("%w: errors with erasures exceed n-k", ErrUncorrectable)
+	ErrLocatorRoots      = fmt.Errorf("%w: errata locator has fewer roots in word than its degree", ErrUncorrectable)
+	ErrRepeatedRoot      = fmt.Errorf("%w: repeated errata locator root", ErrUncorrectable)
+	ErrResidualSyndromes = fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable)
+)
 
 // New returns the code RS(n,k) over the field f with the conventional
 // first consecutive root alpha^1.
@@ -556,7 +584,7 @@ func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Re
 	}
 	rho := len(erasures)
 	if rho > d {
-		return nil, fmt.Errorf("%w: %d erasures exceed n-k=%d", ErrUncorrectable, rho, d)
+		return nil, ErrTooManyErasures
 	}
 
 	c.syndromes(dec.syn, received)
@@ -606,14 +634,14 @@ func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Re
 	if nroots != dec.psiDeg {
 		// Some locator roots fall outside the (possibly shortened)
 		// codeword: the error pattern exceeded the capability.
-		return nil, fmt.Errorf("%w: errata locator has %d roots in word, degree %d", ErrUncorrectable, nroots, dec.psiDeg)
+		return nil, ErrLocatorRoots
 	}
 	// Re-check: a successful bounded-distance decode must land on a
 	// codeword; anything else is a detected failure. The sweep folded
 	// every correction into the syndrome register, so the register now
 	// holds the corrected word's syndromes without re-scanning it.
 	if !allZero(dec.syn) {
-		return nil, fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable)
+		return nil, ErrResidualSyndromes
 	}
 	return dec.buildResult(received), nil
 }
@@ -690,11 +718,11 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 			return nil, err
 		}
 		if nroots != dec.psiDeg {
-			return nil, fmt.Errorf("%w: errata locator has %d roots in word, degree %d", ErrUncorrectable, nroots, dec.psiDeg)
+			return nil, ErrLocatorRoots
 		}
 	}
 	if !allZero(dec.syn) {
-		return nil, fmt.Errorf("%w: residual syndromes after correction", ErrUncorrectable)
+		return nil, ErrResidualSyndromes
 	}
 	return dec.buildResult(received), nil
 }
@@ -827,7 +855,7 @@ func (dec *Decoder) chienForney() (int, error) {
 			// location: Psi(alpha^-p) = 0.
 			nroots++
 			if odd == 0 {
-				return 0, fmt.Errorf("%w: repeated errata locator root", ErrUncorrectable)
+				return 0, ErrRepeatedRoot
 			}
 			p := c.n - 1 - i
 			xInv := f.Exp(-p)
@@ -933,7 +961,7 @@ func (dec *Decoder) berlekampMassey(rho int) error {
 	}
 	errs := length - rho
 	if errs < 0 || 2*errs+rho > d || deg != length {
-		return fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, errs, rho, d)
+		return ErrTooManyErrors
 	}
 	dec.psiDeg = deg
 	return nil

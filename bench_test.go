@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section (DESIGN.md section 4 maps each experiment to its
-// benchmark). Custom metrics attach the headline numbers of each
+// evaluation section, each from its internal/expdata registry
+// experiment. Custom metrics attach the headline numbers of each
 // artifact to the benchmark output, so `go test -bench=.` doubles as
 // a reproduction report:
 //
@@ -9,8 +9,8 @@
 //	cycles, gates  — Section 6 decoder cost comparison
 //	chainP, mcP    — cross-validation pair
 //
-// The Ablation* benchmarks quantify the modeling decisions DESIGN.md
-// calls out: the duplex fail semantics, the paper's transition-B rate
+// The Ablation* benchmarks quantify the modeling decisions listed in
+// the package documentation ("Modeling decisions"): the duplex fail semantics, the paper's transition-B rate
 // typo, single- vs double-sided erasure counting, exponential vs
 // periodic scrubbing, and cross-repairing scrub controllers.
 package repro
@@ -136,7 +136,8 @@ func BenchmarkTableDecoderArea(b *testing.B) {
 }
 
 // BenchmarkCrossValidationMonteCarlo runs a trimmed-down xval (the
-// full experiment lives in the registry for cmd/sweep) comparing the
+// full experiment lives in the registry, run by
+// examples/campaign/paper.json) comparing the
 // chain against fault injection on the duplex arrangement.
 func BenchmarkCrossValidationMonteCarlo(b *testing.B) {
 	f8 := gf.MustField(8)
@@ -246,7 +247,7 @@ func BenchmarkExtMBUBurstSweep(b *testing.B) {
 	})
 }
 
-// --- Ablations over DESIGN.md modeling decisions -------------------
+// --- Ablations over the documented modeling decisions -------------
 
 // BenchmarkAblationDuplexFailSemantics compares the paper's strict
 // fail condition (either word beyond capability kills the system)

@@ -15,11 +15,52 @@
 //
 // The benchmarks in this root package drive the registry: one
 // benchmark per paper figure and table, plus ablations over the
-// modeling decisions documented in DESIGN.md. Run
+// modeling decisions listed under "Modeling decisions" below. Run
 //
 //	go test -bench=. -benchmem
 //
-// to regenerate everything, or use cmd/sweep for human-readable plots.
+// to regenerate everything, or
+//
+//	go run ./cmd/campaign -spec examples/campaign/paper.json
+//
+// for human-readable plots of every figure, table and cross-check.
+//
+// # Modeling decisions
+//
+// Where the paper is ambiguous or idealized, each model picks one
+// reading by default and exposes the alternative as an option; the
+// Ablation* benchmarks measure each gap:
+//
+//   - Duplex fail semantics. The arbiter cannot choose between two
+//     flagged, differing words, so the duplex chain fails as soon as
+//     either word exceeds its capability.
+//     duplex.Options.EitherWordSuffices models an idealized arbiter
+//     that survives on one good word
+//     (BenchmarkAblationDuplexFailSemantics).
+//   - Transition-B rate. The paper writes "lambda_e * Y" for the
+//     transition from a b position to an X position; the default uses
+//     the dimensionally consistent lambda_e * b, and
+//     duplex.Options.BRateUsesY reproduces the literal text
+//     (BenchmarkAblationPaperBRate).
+//   - Erasure counting. The paper's Figure 4 counts an erasure that
+//     can strike either module symbol of a position once;
+//     duplex.Options.DoubleSidedErasures counts both sides, closing
+//     the ~8x undercount the Monte Carlo simulator exposes under
+//     permanent-fault load (BenchmarkAblationDoubleSidedErasures).
+//   - Scrub discipline. The chains model scrubbing as a rate 1/Tsc,
+//     i.e. exponential intervals; memsim.Config.ExponentialScrub
+//     (spec field exponential_scrub) matches that, and the default is
+//     the periodic scrub real controllers run
+//     (BenchmarkAblationScrubDiscipline).
+//   - Cross-repair. The paper's scrub never repairs a module whose
+//     word failed (Fail is absorbing); memsim.Config.CrossRepair
+//     (spec field cross_repair) lets a duplex scrub rewrite it from
+//     its twin (BenchmarkAblationCrossRepair).
+//
+// A sixth simulator-only knob, memsim.Config.DetectionLatency (spec
+// field detection_latency_hours), delays permanent-fault location so
+// erasures act as random errors until located; the chains assume
+// immediate location (BenchmarkAblationDetectionLatency).
 //
 // # The allocation-free codec hot path
 //
@@ -108,12 +149,13 @@
 // re-decides the stop on the same prefix, landing on the identical
 // shard.
 //
-// The cmd/ binaries are thin scenario frontends: memsim, mbusim,
-// bercurve, sweep and tradeoff each build one scenario and format its
-// campaign result, while cmd/campaign runs a declarative multi-
-// scenario JSON spec (internal/campaign/spec; runnable files under
-// examples/campaign/) whose entries can carry early-stop rules,
-// checkpoint paths and tolerance bands on counter fractions.
+// cmd/campaign is the one binary for every workload: it runs a
+// declarative multi-scenario JSON spec (internal/campaign/spec;
+// runnable files under examples/campaign/) whose entries can carry
+// early-stop rules, checkpoint paths and tolerance bands on counter
+// fractions, renders each entry's summary and writes JSON/CSV
+// artifacts under -out. Besides it, cmd/rscodec drives the codec on
+// hex words and cmd/benchdiff gates benchmark regressions.
 // cmd/campaign's -partition i/N flag executes one slice of every
 // scenario (partial artifacts under -partials), and -merge reassembles
 // the slices into results byte-identical to an unpartitioned run —
@@ -279,8 +321,10 @@
 // The ci workflow builds and tests on the current and previous Go
 // release, race-gates the worker-pool engine (go test -race ./...),
 // enforces gofmt/go vet plus a pinned staticcheck, smoke-runs every
-// binary's error paths
-// (non-zero exits), a multi-scenario campaign spec, the matrix
+// binary's error paths (non-zero exits, including inline bad specs
+// for the memsim, bercurve, tradeoff, experiments and mbusim kinds),
+// examples/campaign/paper.json (every paper figure), a
+// multi-scenario campaign spec, the matrix
 // sweep spec (12 interleave cells plus the whole-memory analytic
 // cross-check), and the partitioned workflow (three -partition
 // processes merged and diffed byte-identically against the

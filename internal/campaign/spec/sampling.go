@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/campaign"
+	"repro/internal/duplex"
 	"repro/internal/memsim"
 	"repro/internal/simplex"
 )
@@ -17,7 +18,8 @@ const autoTiltMax = 1e9
 // simplexParams maps a memsim configuration onto the analytic chain
 // it cross-validates against (the same 1:1 mapping the memsim xval
 // tests pin): per-bit SEU rate, per-symbol permanent rate, and the
-// exponential scrub rate 1/period.
+// exponential scrub rate 1/period. The duplex chain takes the same
+// fields.
 func simplexParams(cfg memsim.Config) simplex.Params {
 	p := simplex.Params{
 		N:       cfg.Code.N(),
@@ -32,13 +34,24 @@ func simplexParams(cfg memsim.Config) simplex.Params {
 	return p
 }
 
-// chainFail solves the simplex chain for the Fail probability at the
-// horizon under jointly tilted fault rates.
+// chainFail solves the configuration's analytic chain — duplex or
+// simplex, at the same per-hour rates — for the Fail probability at
+// the horizon under jointly tilted fault rates.
 func chainFail(cfg memsim.Config, tilt float64) (float64, error) {
 	p := simplexParams(cfg)
 	p.Lambda *= tilt
 	p.LambdaE *= tilt
-	probs, err := simplex.FailProbabilities(p, []float64{cfg.Horizon})
+	horizon := []float64{cfg.Horizon}
+	var probs []float64
+	var err error
+	if cfg.Duplex {
+		probs, err = duplex.FailProbabilities(duplex.Params{
+			N: p.N, K: p.K, M: p.M,
+			Lambda: p.Lambda, LambdaE: p.LambdaE, ScrubRate: p.ScrubRate,
+		}, horizon)
+	} else {
+		probs, err = simplex.FailProbabilities(p, horizon)
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -35,8 +35,7 @@ type BERCurveParams struct {
 	Points      int     `json:"points"`
 }
 
-// BERCurve is the campaign scenario behind cmd/bercurve and the
-// "bercurve" spec kind.
+// BERCurve is the campaign scenario behind the "bercurve" spec kind.
 type BERCurve struct {
 	cfg    core.Config
 	grid   []float64 // evaluation instants in hours
@@ -119,7 +118,7 @@ func (w berCurveWorker) Trial(i int, acc *campaign.Acc) error {
 }
 
 // TradeoffParams configures the redundancy/arrangement design-space
-// sweep behind cmd/tradeoff and the "tradeoff" spec kind.
+// sweep behind the "tradeoff" spec kind.
 type TradeoffParams struct {
 	K          int     `json:"k"`
 	M          int     `json:"m"`

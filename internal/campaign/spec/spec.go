@@ -106,6 +106,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/arbiter"
 	"repro/internal/array"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -454,7 +455,7 @@ func decodeParams(e Entry, dst any) error {
 
 // MemsimParams is the "memsim" kind: Monte Carlo fault injection
 // through the real codec, scrubber and arbiter. Rates are per hour,
-// matching cmd/memsim.
+// matching the analytic chains the render compares against.
 type MemsimParams struct {
 	N            int     `json:"n"`
 	K            int     `json:"k"`
@@ -734,7 +735,7 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
 		}
 		return &Built{Entry: e, Scenario: scn, shardSize: 1, Render: func(w io.Writer, cres *campaign.Result) error {
-			return RenderTradeoff(w, scn, cres)
+			return renderTradeoff(w, scn, cres)
 		}}, nil
 
 	case "interleave":
@@ -822,23 +823,24 @@ func buildScenario(e Entry, f *File) (*Built, error) {
 			return nil, err
 		}
 		exps := expdata.All()
+		ids := make([]string, len(exps))
+		for i, exp := range exps {
+			ids[i] = exp.ID
+		}
 		if len(p.IDs) > 0 {
 			exps = exps[:0:0]
 			for _, id := range p.IDs {
 				exp, ok := expdata.ByID(id)
 				if !ok {
-					return nil, fmt.Errorf("spec: scenario %q: unknown experiment %q", e.Name, id)
+					return nil, fmt.Errorf("spec: scenario %q: unknown experiment %q (known: %s)", e.Name, id, strings.Join(ids, ", "))
 				}
 				exps = append(exps, exp)
 			}
+			ids = p.IDs
 		}
 		// The scenario name must encode the experiment ID list, not
 		// just the entry name, so a checkpoint written for one ID set
 		// is rejected when the spec is edited to run a different one.
-		ids := make([]string, len(exps))
-		for i, exp := range exps {
-			ids[i] = exp.ID
-		}
 		scn, err := expdata.Scenario(e.Name+":experiments:"+strings.Join(ids, ","), exps)
 		if err != nil {
 			return nil, fmt.Errorf("spec: scenario %q: %w", e.Name, err)
@@ -867,7 +869,10 @@ func (f *File) BuildAll() ([]*Built, error) {
 	return out, nil
 }
 
-// renderMemsim summarizes a fault-injection campaign.
+// renderMemsim summarizes a fault-injection campaign. Tilted entries
+// add the weighted estimates; untilted ones add the duplex arbiter's
+// verdict tally and the analytic chain's Fail probability checked
+// against the Monte Carlo 4-sigma band.
 func renderMemsim(w io.Writer, cfg memsim.Config, cres *campaign.Result) error {
 	cfg.Trials = cres.Trials // early stop may have trimmed the campaign
 	res := memsim.ResultFromCampaign(cfg, cres)
@@ -903,7 +908,33 @@ func renderMemsim(w io.Writer, cfg memsim.Config, cres *campaign.Result) error {
 		fmt.Fprintf(w, "importance:      tilt factor %.6g (counts above are in the biased measure)\n", cfg.TiltFactor)
 		fmt.Fprintf(w, "  fail fraction: %s\n", weightedLine(fail, cres.Trials))
 		fmt.Fprintf(w, "  cap. exceeded: %s\n", weightedLine(cres.Weights[memsim.CounterCapabilityExceeded], cres.Trials))
+		return nil
 	}
+	if cfg.Duplex && len(res.Verdicts) > 0 {
+		verdicts := make([]arbiter.Verdict, 0, len(res.Verdicts))
+		for v := range res.Verdicts {
+			verdicts = append(verdicts, v)
+		}
+		sort.Slice(verdicts, func(i, j int) bool {
+			ci, cj := res.Verdicts[verdicts[i]], res.Verdicts[verdicts[j]]
+			return ci > cj || ci == cj && verdicts[i] < verdicts[j]
+		})
+		fmt.Fprintln(w, "arbiter verdicts:")
+		for _, v := range verdicts {
+			fmt.Fprintf(w, "  %-20s %d\n", v, res.Verdicts[v])
+		}
+	}
+	// The companion analytic chain at the same per-hour rates, solved
+	// here rather than in Build so only rendered runs pay for it.
+	chainP, err := chainFail(cfg, 1)
+	if err != nil {
+		return err
+	}
+	agree := "inside"
+	if lo, hi := memsim.WilsonInterval(res.CapabilityExceeded, res.Trials, 4); chainP < lo || chainP > hi {
+		agree = "OUTSIDE"
+	}
+	fmt.Fprintf(w, "markov chain:    P_fail = %.4e (%s the Monte Carlo 4-sigma band)\n", chainP, agree)
 	return nil
 }
 
@@ -1017,19 +1048,23 @@ func renderMBU(w io.Writer, systems []mbusim.System, cres *campaign.Result) erro
 	return tw.Flush()
 }
 
-// renderBERCurve prints the curve as TSV.
+// renderBERCurve prints the curve as TSV followed by a log-scale
+// plot.
 func renderBERCurve(w io.Writer, scn *BERCurve, cres *campaign.Result) error {
 	xs, ys := cres.SeriesPoints(SeriesBER)
-	return textplot.WriteTSV(w, scn.XLabel(), []textplot.Series{
-		{Label: scn.Config().String(), X: xs, Y: ys},
-	})
+	title := scn.Config().String()
+	series := []textplot.Series{{Label: title, X: xs, Y: ys}}
+	if err := textplot.WriteTSV(w, scn.XLabel(), series); err != nil {
+		return err
+	}
+	p := textplot.Plot{Title: title, XLabel: scn.XLabel(), YLabel: "BER", LogY: true, Series: series}
+	_, err := io.WriteString(w, p.Render())
+	return err
 }
 
-// RenderTradeoff prints the design-space table (shared by the
-// "tradeoff" spec kind and cmd/tradeoff, so the two outputs cannot
-// drift). Arrangement groups are separated by a blank line, matching
-// the historical cmd/tradeoff output.
-func RenderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
+// renderTradeoff prints the design-space table. Arrangement groups
+// are separated by a blank line.
+func renderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
 	p := scn.Params()
 	fmt.Fprintf(w, "design space for k=%d data symbols (m=%d), lambda=%g/bit/day, lambdaE=%g/sym/day, Tsc=%gs, horizon %gh\n\n",
 		p.K, p.M, p.SEUPerBit, p.PermPerSym, p.ScrubSec, p.Hours)
@@ -1051,7 +1086,8 @@ func RenderTradeoff(w io.Writer, scn *Tradeoff, cres *campaign.Result) error {
 	return nil
 }
 
-// renderExperiments prints each experiment like cmd/sweep does.
+// renderExperiments prints each experiment's title, description,
+// plot and notes.
 func renderExperiments(w io.Writer, exps []expdata.Experiment, cres *campaign.Result) error {
 	results, err := expdata.ResultsFromCampaign(exps, cres)
 	if err != nil {
@@ -1059,6 +1095,7 @@ func renderExperiments(w io.Writer, exps []expdata.Experiment, cres *campaign.Re
 	}
 	for i, e := range exps {
 		fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title)
+		fmt.Fprintln(w, e.Description)
 		fmt.Fprint(w, results[i].Plot(e.Title).Render())
 		for _, note := range results[i].Notes {
 			fmt.Fprintf(w, "  note: %s\n", note)

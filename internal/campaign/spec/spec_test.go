@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/expdata"
 )
 
 func TestParseValidation(t *testing.T) {
@@ -37,9 +38,11 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Name: "a", Kind: "memsim", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
 		{Name: "a", Kind: "memsim", Params: []byte(`{"n":3,"k":5,"trials":1,"horizon_hours":1}`)},
 		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":0,"burst_bits":1,"trials":1}`)},
+		{Name: "a", Kind: "mbusim", Params: []byte(`{"events_per_kilobit":4,"burst_bits":4,"trials":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":0}`)},
 		{Name: "a", Kind: "bercurve", Params: []byte(`{"hours":48,"arrangement":"triplex"}`)},
 		{Name: "a", Kind: "tradeoff", Params: []byte(`{"hours":0}`)},
+		{Name: "a", Kind: "tradeoff", Params: []byte(`{"hours":-1}`)},
 		{Name: "a", Kind: "experiments", Params: []byte(`{"ids":["nope"]}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"bogus":1}`)},
 		{Name: "a", Kind: "interleave", Params: []byte(`{"trials":0,"horizon_hours":1}`)},
@@ -99,6 +102,59 @@ func TestMemsimSpecRoundTrip(t *testing.T) {
 	for _, want := range []string{"duplex", "cap. exceeded", "fail fraction"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("render missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRenderSummaries builds and runs small entries and checks that
+// each kind's render carries its companion output: the duplex
+// arbiter verdicts and analytic chain line for memsim, every
+// experiment's description, and the BER curve's log-scale plot.
+func TestRenderSummaries(t *testing.T) {
+	f := &File{Seed: 3}
+	cases := []struct {
+		entry Entry
+		want  []string
+	}{
+		{
+			Entry{Name: "dup", Kind: "memsim", Params: []byte(`{"duplex": true, "lambda_bit_per_hour": 6e-4,
+			  "lambda_symbol_per_hour": 2e-4, "scrub_period_hours": 4, "exponential_scrub": true,
+			  "horizon_hours": 48, "trials": 300}`)},
+			[]string{"arbiter verdicts:", "markov chain:", "4-sigma band"},
+		},
+		{
+			Entry{Name: "exp", Kind: "experiments", Params: []byte(`{"ids": ["tbl-td", "tbl-area"]}`)},
+			nil, // filled from the registry below
+		},
+		{
+			Entry{Name: "ber", Kind: "bercurve", Params: []byte(`{"seu_per_bit_day": 1.7e-5, "hours": 48, "points": 5}`)},
+			[]string{"hours\t", "+----", "(hours)", "* simplex RS(18,16)"},
+		},
+	}
+	for _, id := range []string{"tbl-td", "tbl-area"} {
+		e, ok := expdata.ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", id)
+		}
+		cases[1].want = append(cases[1].want, e.Description)
+	}
+	for _, c := range cases {
+		b, err := Build(c.entry, f)
+		if err != nil {
+			t.Fatalf("%s: %v", c.entry.Kind, err)
+		}
+		cres, err := campaign.Run(b.Scenario, b.EngineConfig(f))
+		if err != nil {
+			t.Fatalf("%s: %v", c.entry.Kind, err)
+		}
+		var buf bytes.Buffer
+		if err := b.Render(&buf, cres); err != nil {
+			t.Fatalf("%s: render: %v", c.entry.Kind, err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s render missing %q:\n%s", c.entry.Kind, want, buf.String())
+			}
 		}
 	}
 }
@@ -186,7 +242,7 @@ func TestTradeoffSpecCandidates(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := RenderTradeoff(&buf, scn, cres); err != nil {
+	if err := renderTradeoff(&buf, scn, cres); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "simplex RS(20,16)") {

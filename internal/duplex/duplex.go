@@ -62,7 +62,8 @@ var fail = State{Fail: true}
 
 // Options selects between paper-faithful transition rates and
 // dimensionally consistent variants for the two spots where the paper
-// text is ambiguous (see DESIGN.md, "Modeling decisions").
+// text is ambiguous (see "Modeling decisions" in the root package
+// documentation).
 type Options struct {
 	// BRateUsesY reproduces the paper's literal rate "lambda_e * Y"
 	// for the transition converting a b position into an X position

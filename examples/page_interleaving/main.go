@@ -10,7 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 
 	"repro/internal/gf"
 	"repro/internal/interleave"
@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 
 	fmt.Println("burst tolerance of an RS(18,16) page vs interleaving depth:")
 	fmt.Printf("%7s %12s %14s %16s\n", "depth", "page bytes", "burst (syms)", "verified")
@@ -46,7 +46,7 @@ func main() {
 	}
 	data := make([]gf.Elem, page.DataSymbols())
 	for i := range data {
-		data[i] = gf.Elem(rng.Intn(256))
+		data[i] = gf.Elem(rng.IntN(256))
 	}
 	stored, err := page.Encode(data)
 	if err != nil {
@@ -79,7 +79,7 @@ func main() {
 func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
 	data := make([]gf.Elem, page.DataSymbols())
 	for i := range data {
-		data[i] = gf.Elem(rng.Intn(256))
+		data[i] = gf.Elem(rng.IntN(256))
 	}
 	stored, err := page.Encode(data)
 	if err != nil {
@@ -88,10 +88,10 @@ func verifyBurst(rng *rand.Rand, page *interleave.Page) bool {
 	burst := page.CorrectableBurst()
 	start := 0
 	if n := page.StoredSymbols() - burst; n > 0 {
-		start = rng.Intn(n)
+		start = rng.IntN(n)
 	}
 	for i := start; i < start+burst; i++ {
-		stored[i] ^= gf.Elem(1 + rng.Intn(255))
+		stored[i] ^= gf.Elem(1 + rng.IntN(255))
 	}
 	res, err := page.Decode(stored, nil)
 	if err != nil || len(res.FailedStripes) != 0 {

@@ -19,12 +19,17 @@ import (
 // and the observed capability-exceeded fraction — the chains' Fail
 // event — is lifted through 1-(1-p)^W to the memory level.
 //
-// Agreement is exact (within sampling noise) for simplex words,
-// scrubbed or not, and for unscrubbed duplex. Scrubbed duplex carries
-// a known ~1% model gap the cross-validation flags by design: the
-// simulator scrubs both modules at the same instants (one controller,
-// one schedule) while the chain models scrubbing as independent
-// memoryless transitions, so the joint pair state differs slightly.
+// Unscrubbed words are gated against memsim.ExactCapabilityExceeded,
+// the closed form of the simulator's own event: the chain counts a
+// struck symbol as wrong for good while the simulator's bits cancel
+// when flipped twice, so the chain sits measurably above the simulator
+// (0.92151 against 0.91770 for the simplex word at the xval rates).
+// Scrubbed words are gated against the chain, which agrees within
+// sampling noise for simplex. Scrubbed duplex carries a known ~1%
+// model gap the cross-validation flags by design: the simulator scrubs
+// both modules at the same instants (one controller, one schedule)
+// while the chain models scrubbing as independent memoryless
+// transitions, so the joint pair state differs slightly.
 type SimConfig struct {
 	Memory Memory
 	// Hours is the observation instant (the mission storage time).
@@ -121,12 +126,17 @@ type CrossValidation struct {
 	Trials int
 
 	// Word level: observed capability-exceeded fraction vs. the
-	// chain's Fail probability.
+	// chain's Fail probability and the gated reference.
 	WordFails        int64
 	WordFailMC       float64
 	WordFailLo       float64
 	WordFailHi       float64
 	WordFailAnalytic float64
+	// WordFailReference is the value the band is checked against:
+	// memsim's exact capability-exceeded probability when
+	// ReferenceExact (unscrubbed words), else WordFailAnalytic.
+	WordFailReference float64
+	ReferenceExact    bool
 
 	// Memory level: 1-(1-p)^W of each of the above.
 	AnyWordFailMC       float64
@@ -134,7 +144,7 @@ type CrossValidation struct {
 	AnyWordFailHi       float64
 	AnyWordFailAnalytic float64
 
-	// Agrees is true when the analytic value lies inside the Wilson
+	// Agrees is true when the reference value lies inside the Wilson
 	// band (equivalently at either level; the lift is monotone).
 	Agrees bool
 }
@@ -159,6 +169,10 @@ func (c SimConfig) CrossValidate(cres *campaign.Result, z float64) (*CrossValida
 	if cres.Trials == 0 {
 		return nil, fmt.Errorf("array: campaign has no trials")
 	}
+	mcfg, err := c.MemsimConfig()
+	if err != nil {
+		return nil, err
+	}
 	fails := cres.Counter(memsim.CounterCapabilityExceeded)
 	lo, hi := campaign.Wilson(fails, int64(cres.Trials), z)
 	w := float64(words)
@@ -179,20 +193,32 @@ func (c SimConfig) CrossValidate(cres *campaign.Result, z float64) (*CrossValida
 		AnyWordFailAnalytic: curve.AnyWordFail[0],
 	}
 	v.AnyWordFailMC = lift(v.WordFailMC)
-	v.Agrees = v.WordFailAnalytic >= lo && v.WordFailAnalytic <= hi
+	v.WordFailReference, v.ReferenceExact = memsim.ExactCapabilityExceeded(mcfg)
+	if !v.ReferenceExact {
+		v.WordFailReference = v.WordFailAnalytic
+	}
+	v.Agrees = v.WordFailReference >= lo && v.WordFailReference <= hi
 	return v, nil
 }
 
-// Check returns a descriptive error when the analytic evaluation
-// falls outside the Monte Carlo band — the pass/fail form used by
-// spec expectation checking.
+// ReferenceName names the gated reference: "exact" or "analytic".
+func (v *CrossValidation) ReferenceName() string {
+	if v.ReferenceExact {
+		return "exact"
+	}
+	return "analytic"
+}
+
+// Check returns a descriptive error when the reference value falls
+// outside the Monte Carlo band — the pass/fail form used by spec
+// expectation checking.
 func (v *CrossValidation) Check() error {
 	if v.Agrees {
 		return nil
 	}
-	return fmt.Errorf("array: analytic word-fail %.6e outside Wilson band [%.6e, %.6e] (%d/%d trials; memory-level analytic %.6e vs MC band [%.6e, %.6e] over %d words)",
-		v.WordFailAnalytic, v.WordFailLo, v.WordFailHi, v.WordFails, v.Trials,
-		v.AnyWordFailAnalytic, v.AnyWordFailLo, v.AnyWordFailHi, v.Words)
+	return fmt.Errorf("array: %s word-fail %.6e outside Wilson band [%.6e, %.6e] (%d/%d trials; chain %.6e; memory-level analytic %.6e vs MC band [%.6e, %.6e] over %d words)",
+		v.ReferenceName(), v.WordFailReference, v.WordFailLo, v.WordFailHi, v.WordFails, v.Trials,
+		v.WordFailAnalytic, v.AnyWordFailAnalytic, v.AnyWordFailLo, v.AnyWordFailHi, v.Words)
 }
 
 // RunSim executes the Monte Carlo on the shared engine and

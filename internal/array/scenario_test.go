@@ -73,8 +73,9 @@ func TestMemsimConfigMatchesRates(t *testing.T) {
 }
 
 // TestMonteCarloAgreesWithAnalytic is the cross-validation the
-// scenario exists for: on a fixed-seed campaign the analytic
-// word-fail probability (and hence its memory-level lift) must lie
+// scenario exists for: on a fixed-seed campaign the reference
+// word-fail probability — exact for the unscrubbed words, the chain's
+// for the scrubbed one — (and hence its memory-level lift) must lie
 // inside the Monte Carlo's 95% Wilson band.
 func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 	for _, tc := range []struct {
@@ -103,6 +104,12 @@ func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 			if err := v.Check(); err != nil {
 				t.Errorf("cross-validation failed: %v", err)
 			}
+			if unscrubbed := c.Memory.Word.ScrubPeriodSeconds == 0; v.ReferenceExact != unscrubbed {
+				t.Errorf("reference exact = %t for an unscrubbed=%t word", v.ReferenceExact, unscrubbed)
+			}
+			if v.ReferenceExact && !(v.WordFailAnalytic > v.WordFailReference) {
+				t.Errorf("chain %v not above the exact value %v", v.WordFailAnalytic, v.WordFailReference)
+			}
 			// The lift must be consistent at both levels.
 			if v.AnyWordFailLo > v.AnyWordFailMC || v.AnyWordFailMC > v.AnyWordFailHi {
 				t.Errorf("memory-level point %v outside its own band [%v, %v]",
@@ -119,7 +126,7 @@ func TestMonteCarloAgreesWithAnalytic(t *testing.T) {
 }
 
 // TestScenarioDeterministicAcrossWorkerCounts: the array scenario
-// inherits memsim's per-trial reseeding, so the merged result is
+// inherits memsim's per-trial keyed streams, so the merged result is
 // bit-identical for any worker count.
 func TestScenarioDeterministicAcrossWorkerCounts(t *testing.T) {
 	c := simBase()

@@ -9,9 +9,10 @@
 //   - the planner (NewPlan) deterministically shards the trial range
 //     into fixed-size contiguous shards and assigns a contiguous slice
 //     of that shard range to a Partition{Index, Count} — shard
-//     boundaries and the TrialSeed stream depend only on the global
-//     trial index, so any partitioning of the range computes the very
-//     same shards a single process would;
+//     boundaries and each trial's random stream (TrialRNG, keyed by
+//     the scenario's base seed and the global trial index) depend only
+//     on the global trial index, so any partitioning of the range
+//     computes the very same shards a single process would;
 //   - the executor (Execute) runs one partition's shards over a
 //     worker-goroutine pool and records them into a self-describing
 //     partial-result artifact — an append-only JSON Lines file of
@@ -40,8 +41,8 @@
 //   - checkpointing: every completed shard is appended to the partial
 //     artifact, and a rerun pointed at the same file resumes with
 //     only the missing shards — a resumed campaign is bit-identical
-//     to an uninterrupted one (legacy single-object checkpoints are
-//     migrated transparently);
+//     to an uninterrupted one (an artifact drawn from other trial
+//     streams is refused, never resumed);
 //   - structured results: trials report named int64 counters, (x, y)
 //     samples grouped into labeled series, and free-form notes, which
 //     downstream formatting (internal/expdata, the cmd/ binaries)
@@ -50,8 +51,11 @@
 //     the sample list in memory.
 //
 // Determinism contract: a Worker must derive all randomness for trial
-// i from the trial index (see TrialSeed), never from shared state, and
-// must record per-trial output through the Acc it is handed. Counters
+// i from the trial index — by keying its TrialRNG with (base, i) at
+// the top of the trial — never from shared state, and must record
+// per-trial output through the Acc it is handed. Every partial
+// artifact is stamped with TrialStreams, and artifacts drawn from
+// other streams are refused rather than merged. Counters
 // merge by addition; samples and notes carry their trial index and are
 // reassembled in trial order.
 package campaign
@@ -94,25 +98,6 @@ type WeightedScenario interface {
 	// A scenario returning false behaves exactly like a plain Scenario
 	// (unit weights, version-2 artifacts, Wilson early stop).
 	Weighted() bool
-}
-
-// MaxTrials is the largest trial count a scenario may declare: the
-// number of distinct per-trial streams TrialSeed yields under
-// math/rand's seeding.
-const MaxTrials = 1<<31 - 1
-
-// TrialSeed derives the deterministic per-trial RNG seed every
-// scenario in this repository uses: reseeding a worker-owned
-// generator with TrialSeed(base, i) makes trial i reproducible
-// regardless of which worker runs it, without per-trial allocation.
-//
-// math/rand's Seed reduces its argument mod the prime 2^31-1, and the
-// trial stride is nonzero mod that prime, so trials 0..MaxTrials-1 get
-// distinct streams while trial i and trial i+MaxTrials replay the same
-// one. NewPlan therefore rejects scenarios of more than MaxTrials
-// trials.
-func TrialSeed(base int64, trial int) int64 {
-	return base + int64(trial)*0x9E3779B9
 }
 
 // Sample is one recorded (x, y) point of a labeled series.
@@ -316,9 +301,9 @@ type Config struct {
 	ShardSize int
 	// Checkpoint is the path of the resumable partial-result artifact;
 	// "" disables checkpointing. If the file exists it must describe
-	// the same scenario (name, trials, shard size) and its completed
-	// shards are not recomputed (legacy version-1 checkpoints are
-	// migrated in place).
+	// the same scenario (name, trials, shard size) drawn from the same
+	// trial streams (TrialStreams), and its completed shards are not
+	// recomputed.
 	Checkpoint string
 	// CheckpointEvery appends progress after every N newly completed
 	// shards; 0 throttles adaptively (about one append batch per

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,19 +28,19 @@ type coinScenario struct {
 func (s *coinScenario) Name() string { return s.name }
 func (s *coinScenario) Trials() int  { return s.trials }
 func (s *coinScenario) NewWorker() (Worker, error) {
-	return &coinWorker{scn: s, rng: rand.New(rand.NewSource(0))}, nil
+	return &coinWorker{scn: s, rng: NewTrialRNG()}, nil
 }
 
 type coinWorker struct {
 	scn *coinScenario
-	rng *rand.Rand
+	rng *TrialRNG
 }
 
 func (w *coinWorker) Trial(i int, acc *Acc) error {
 	if w.scn.failAfter > 0 && i >= w.scn.failAfter {
 		return fmt.Errorf("injected failure at trial %d", i)
 	}
-	w.rng.Seed(TrialSeed(w.scn.seed, i))
+	w.rng.Key(w.scn.seed, i)
 	acc.Add("trials_seen", 1)
 	acc.Add("events", 3) // deliberately non-binomial (>1 per trial)
 	v := w.rng.Float64()
@@ -336,41 +335,5 @@ func TestWilson(t *testing.T) {
 	_, hi = Wilson(100, 100, 1.96)
 	if hi < 1-1e-12 {
 		t.Errorf("hi = %v, want ~1", hi)
-	}
-}
-
-func TestTrialSeedMatchesMemsimConvention(t *testing.T) {
-	// internal/memsim reseeded per trial with base + i*0x9E3779B9 before
-	// the campaign engine existed; TrialSeed must preserve that stream
-	// so pre-engine statistics stay reproducible.
-	if got, want := TrialSeed(100, 3), int64(100+3*0x9E3779B9); got != want {
-		t.Fatalf("TrialSeed = %d, want %d", got, want)
-	}
-}
-
-// TestNewPlanTrialCap: math/rand reduces TrialSeed mod 2^31-1, so
-// trial i and trial i+MaxTrials replay one stream; NewPlan accepts
-// exactly MaxTrials trials and rejects one more, naming the cap and
-// the reason.
-func TestNewPlanTrialCap(t *testing.T) {
-	first := func(trial int) int64 { return rand.New(rand.NewSource(TrialSeed(7, trial))).Int63() }
-	if first(5) != first(5+MaxTrials) {
-		t.Fatal("trial i and i+MaxTrials draw different streams; the cap no longer matches the seeding")
-	}
-	if first(0) == first(MaxTrials-1) {
-		t.Error("trials 0 and MaxTrials-1 share a stream")
-	}
-
-	if _, err := NewPlan(&coinScenario{name: "at-cap", trials: MaxTrials}, 0, Whole); err != nil {
-		t.Errorf("MaxTrials trials rejected: %v", err)
-	}
-	_, err := NewPlan(&coinScenario{name: "over-cap", trials: MaxTrials + 1}, 0, Whole)
-	if err == nil {
-		t.Fatal("MaxTrials+1 trials accepted")
-	}
-	for _, want := range []string{"over-cap", "2147483647", "2^31-1", "same stream"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
 	}
 }

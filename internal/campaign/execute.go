@@ -22,12 +22,11 @@ type ExecConfig struct {
 	// Artifact is the path of the partial-result file; "" keeps the
 	// partition's output in memory. When the file exists it must
 	// describe the same plan (scenario, trials, shard size, partition)
-	// and its completed shards are not recomputed; a legacy version-1
-	// checkpoint is migrated to the version-2 format in place. Once a
-	// shard record has been appended to the artifact its samples and
-	// notes are dropped from memory (Merge re-reads them), so a
-	// file-backed execution's memory use is bounded by the flush
-	// cadence, not the campaign size.
+	// and trial streams (see Partial.MatchesPlan), and its completed
+	// shards are not recomputed. Once a shard record has been appended
+	// to the artifact its samples and notes are dropped from memory
+	// (Merge re-reads them), so a file-backed execution's memory use is
+	// bounded by the flush cadence, not the campaign size.
 	Artifact string
 	// FlushEvery appends buffered shard records after every N newly
 	// completed shards; 0 flushes after maxBufferedShards shards or
@@ -312,8 +311,8 @@ func checkBinomial(scenario, counter string, successes int64, trials int) error 
 
 // preparePartial builds the partition's output store: an in-memory
 // partial when no artifact is configured, otherwise the existing
-// artifact (validated against the plan, migrating version-1
-// checkpoints) or a freshly created one, opened for appending.
+// artifact (validated against the plan) or a freshly created one,
+// opened for appending.
 func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, error) {
 	if artifact == "" {
 		return newMemPartial(plan), nil, nil
@@ -322,68 +321,30 @@ func preparePartial(plan *Plan, artifact string) (*Partial, *partialAppender, er
 	if err != nil {
 		return nil, nil, err
 	}
-	header := plan.header()
 	if existing == nil {
 		p := &Partial{
-			header:   header,
+			header:   plan.header(),
 			counters: make(map[int]map[string]int64),
 			loc:      make(map[int][2]int64),
 			path:     artifact,
 		}
-		appender, err := createPartialFile(artifact, header, nil, p.loc)
+		appender, err := createPartialFile(artifact, p.header)
 		if err != nil {
 			return nil, nil, err
 		}
 		return p, appender, nil
 	}
-	if !existing.header.geometryMatches(header) || existing.header.partition() != header.partition() {
-		return nil, nil, fmt.Errorf("campaign: partial %s is for scenario %q (%d trials, shard %d, partition %s), want %q (%d trials, shard %d, partition %s)",
-			artifact, existing.header.Scenario, existing.header.Trials, existing.header.ShardSize, existing.header.partition(),
-			plan.Scenario, plan.Trials, plan.ShardSize, plan.Part)
-	}
-	if existing.header.Version != header.Version {
-		return nil, nil, fmt.Errorf("campaign: partial %s has artifact version %d, want %d",
-			artifact, existing.header.Version, header.Version)
+	// A params-digest mismatch means the spec's params were edited
+	// since the artifact was written; a streams mismatch means its
+	// shards were drawn by an older engine. Either way resuming would
+	// merge foreign shards into this campaign, so refuse loudly.
+	if err := existing.MatchesPlan(plan); err != nil {
+		return nil, nil, err
 	}
 	if appendAt == appendGzip {
 		return nil, nil, fmt.Errorf("campaign: partial %s is gzip-compressed (read-only at rest): decompress it or choose a new checkpoint path", artifact)
 	}
-	if existing.header.digestConflicts(header) {
-		// Same scenario name and geometry but a different parameter
-		// set: the spec's params were edited since the artifact was
-		// written. Resuming would merge shards computed under the old
-		// parameters into the new campaign, so refuse loudly.
-		return nil, nil, fmt.Errorf("campaign: partial %s was computed under different scenario params (digest %s, want %s): delete the artifact or revert the spec edit",
-			artifact, existing.header.ParamsDigest, header.ParamsDigest)
-	}
-	// Restored shards must lie inside the plan's partition range.
-	for idx := range existing.counters {
-		if idx < plan.First || idx >= plan.End {
-			return nil, nil, fmt.Errorf("campaign: partial %s holds shard %d outside partition %s range [%d, %d)",
-				artifact, idx, plan.Part, plan.First, plan.End)
-		}
-	}
 	existing.resumed = existing.DoneTrials()
-	if appendAt == appendRewrite {
-		// Version-1 checkpoint: rewrite as version 2 so new shards can
-		// be appended. The in-memory records move to the file. The
-		// migrated header keeps the checkpoint's own (digest-less)
-		// identity rather than the plan's: stamping the current digest
-		// onto legacy shards would certify params provenance the old
-		// format never recorded — and wrongly refuse the artifact
-		// later if the spec edit it was blind to gets reverted.
-		records := make([]*shardRecord, 0, len(existing.mem))
-		for _, idx := range existing.Shards() {
-			records = append(records, existing.mem[idx])
-		}
-		existing.loc = make(map[int][2]int64)
-		appender, err := createPartialFile(artifact, existing.header, records, existing.loc)
-		if err != nil {
-			return nil, nil, err
-		}
-		existing.mem = nil
-		return existing, appender, nil
-	}
 	appender, err := openAppender(artifact, appendAt)
 	if err != nil {
 		return nil, nil, err

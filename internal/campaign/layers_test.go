@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -209,78 +209,30 @@ func TestPartitionResumeFromPartial(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointMigration: a version-1 single-object checkpoint
-// must load into the new partial-result reader with byte-identical
-// shard contents (OpenPartial + Merge equals the direct Run), and an
-// executor resuming from it must migrate the file to version 2 and
-// finish the campaign bit-identically.
-func TestLegacyCheckpointMigration(t *testing.T) {
+// TestLegacyCheckpointRefused: a version-1 single-object checkpoint of
+// an older release carries no trial-streams stamp, so neither reading
+// it for a merge nor resuming from it may succeed, and the refusal
+// must name both stamps. The file is left untouched.
+func TestLegacyCheckpointRefused(t *testing.T) {
 	scn := &coinScenario{name: "coin", trials: 1200, seed: 3, p: 0.35}
-	want := run(t, scn, Config{Workers: 2, ShardSize: 100})
-
-	// Build a v1 checkpoint from a clean in-memory execution's shards
-	// (the legacy writer serialized exactly these records).
-	plan, err := NewPlan(scn, 100, Whole)
-	if err != nil {
+	v1 := []byte(`{"version":1,"scenario":"coin","trials":1200,"shard_size":100,` +
+		`"shards":[{"index":0,"counters":{"hits":31,"trials_seen":100}}]}`)
+	path := filepath.Join(t.TempDir(), "v1.ckpt.json")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mem, err := Execute(scn, plan, ExecConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenPartial(path); err == nil {
+		t.Error("version-1 checkpoint opened for merging")
+	} else {
+		assertNamesStamps(t, err)
 	}
-	writeV1 := func(path string, upTo int) {
-		t.Helper()
-		cp := legacyCheckpoint{Version: 1, Scenario: "coin", Trials: 1200, ShardSize: 100}
-		for _, idx := range mem.Shards() {
-			if idx >= upTo {
-				continue
-			}
-			cp.Shards = append(cp.Shards, *mem.mem[idx])
-		}
-		data, err := json.Marshal(&cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := Run(scn, Config{ShardSize: 100, Checkpoint: path}); err == nil {
+		t.Error("resumed from a version-1 checkpoint")
+	} else {
+		assertNamesStamps(t, err)
 	}
-
-	// Full v1 file: the new reader must reproduce the Run result.
-	fullPath := filepath.Join(t.TempDir(), "full.ckpt.json")
-	writeV1(fullPath, plan.NumShards)
-	p, err := OpenPartial(fullPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	got, err := Merge([]*Partial{p}, MergeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v1 checkpoint merge diverged:\nwant %+v\ngot  %+v", want, got)
-	}
-
-	// Partial v1 file: Run must resume from it, migrate the file to
-	// version 2, and produce the uninterrupted result.
-	partPath := filepath.Join(t.TempDir(), "part.ckpt.json")
-	writeV1(partPath, 7)
-	res := run(t, scn, Config{Workers: 2, ShardSize: 100, Checkpoint: partPath})
-	if res.ResumedTrials != 700 {
-		t.Errorf("resumed %d trials from v1 checkpoint, want 700", res.ResumedTrials)
-	}
-	cmp := *want
-	cmp.ResumedTrials = res.ResumedTrials
-	if !reflect.DeepEqual(&cmp, res) {
-		t.Fatalf("v1-resumed run diverged:\nwant %+v\ngot  %+v", &cmp, res)
-	}
-	data, err := os.ReadFile(partPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.SplitN(string(data), "\n", 2)[0], `"version":2`) {
-		t.Errorf("checkpoint not migrated to version 2: %.80s", data)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v1) {
+		t.Errorf("refused checkpoint was modified (err %v)", err)
 	}
 }
 

@@ -58,9 +58,11 @@ type MergeConfig struct {
 
 // Merge folds any set of partial results — from one process or many —
 // into the Result a single-process run would produce. It validates
-// that the partials share one campaign fingerprint (scenario, trial
-// count, shard size) and partition count, that their shard sets are
-// disjoint and lie inside their declared partition ranges, and that
+// that every partial was drawn from this engine's trial streams
+// (TrialStreams), that the partials share one campaign fingerprint
+// (scenario, trial count, shard size) and partition count, that their
+// shard sets are disjoint and lie inside their declared partition
+// ranges, and that
 // together they cover every shard up to the campaign's end (or its
 // deterministic early-stop point). Shards are folded in global index
 // order, so counters, samples and notes are bit-identical to the
@@ -91,6 +93,9 @@ func Merge(partials []*Partial, cfg MergeConfig) (*Result, error) {
 	digestHolder := partialHeader{ParamsDigest: cfg.ParamsDigest}
 	for _, p := range sorted {
 		h := p.header
+		if err := h.checkStreams(describePartial(p)); err != nil {
+			return nil, err
+		}
 		if !h.geometryMatches(head) {
 			return nil, fmt.Errorf("campaign: partial %s is from campaign %q, want %q", describePartial(p), h.fingerprint(), head.fingerprint())
 		}

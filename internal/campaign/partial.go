@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,40 +18,43 @@ import (
 )
 
 // Partial-result artifact format. Version 2 is an append-only JSON
-// Lines file: a header line identifying the campaign geometry and the
-// partition, followed by one line per completed shard. Appending a
-// shard is O(shard), not O(campaign), which is what lets the executor
-// spill samples to disk as shards complete instead of re-marshaling a
-// growing checkpoint — the bounded-memory path for million-sample
-// campaigns. A torn final line (crash mid-append) is dropped on read
-// and truncated away before the next append, so the file is always
-// resumable. Version 1 is the legacy single-object checkpoint written
-// by earlier releases; readPartial migrates it transparently (same
-// shard contents, partition 0/1 implied). Version 3 is version 2 plus
-// per-shard weight moments for importance-sampled campaigns; version-2
-// files load as unit-weight (nil moments), exactly as version-1 files
-// load as partition 0/1.
+// Lines file: a header line identifying the campaign geometry, the
+// partition and the trial-stream scheme, followed by one line per
+// completed shard. Appending a shard is O(shard), not O(campaign),
+// which is what lets the executor spill samples to disk as shards
+// complete instead of re-marshaling a growing checkpoint — the
+// bounded-memory path for million-sample campaigns. A torn final line
+// (crash mid-append) is dropped on read and truncated away before the
+// next append, so the file is always resumable. Version 3 is version 2
+// plus per-shard weight moments for importance-sampled campaigns.
+//
+// The header's streams stamp records which per-trial random streams
+// the shards were drawn from (TrialStreams). Version-2 and -3
+// artifacts without the current stamp — every artifact written under
+// the earlier math/rand reseeding — still load, but Merge, resume and
+// MatchesPlan refuse them, naming both stamps. The version-1
+// single-object checkpoints of older releases predate the stamp too
+// and are refused as soon as they are read.
 //
 // Artifacts may also be stored gzip-compressed at rest (the fabric
 // coordinator's format): readPartial sniffs the gzip magic bytes and
 // decompresses transparently. Compressed artifacts are read-only —
 // they merge and adopt normally but refuse resume-appending.
 const (
-	partialVersionLegacy   = 1
 	partialVersion         = 2
 	partialVersionWeighted = 3
 )
 
-// appendAt sentinel values returned by readPartial for artifacts that
-// cannot be appended to in place.
-const (
-	appendRewrite = -1 // legacy version 1: rewrite as JSONL first
-	appendGzip    = -2 // gzip at rest: read-only
-)
+// appendGzip is the appendAt value readPartial returns for a
+// gzip-compressed artifact, which cannot be appended to in place.
+const appendGzip = -1
 
 // partialHeader is the first line of a version-2 artifact.
 type partialHeader struct {
-	Version   int    `json:"version"`
+	Version int `json:"version"`
+	// Streams is the trial-stream stamp (TrialStreams when written by
+	// this engine, "" for artifacts that predate the stamp).
+	Streams   string `json:"streams,omitempty"`
 	Scenario  string `json:"scenario"`
 	Trials    int    `json:"trials"`
 	ShardSize int    `json:"shard_size"`
@@ -71,11 +75,31 @@ type partialHeader struct {
 }
 
 func (h partialHeader) fingerprint() string {
-	fp := fmt.Sprintf("%s|trials=%d|shard=%d", h.Scenario, h.Trials, h.ShardSize)
+	fp := fmt.Sprintf("%s|trials=%d|shard=%d|streams=%s", h.Scenario, h.Trials, h.ShardSize, streamsName(h.Streams))
 	if h.ParamsDigest != "" {
 		fp += "|params=" + h.ParamsDigest
 	}
 	return fp
+}
+
+// checkStreams refuses an artifact whose shards were not drawn from
+// this engine's trial streams. Unlike the params digest, a missing
+// stamp is never lenient: an unstamped artifact predates TrialStreams
+// and its shards come from other streams.
+func (h partialHeader) checkStreams(what string) error {
+	if h.Streams == TrialStreams {
+		return nil
+	}
+	return fmt.Errorf("campaign: partial %s was drawn from trial streams %s, but this engine draws %s: its shards cannot merge with new ones — delete it and recompute",
+		what, streamsName(h.Streams), streamsName(TrialStreams))
+}
+
+// streamsName renders a streams stamp for fingerprints and errors.
+func streamsName(stamp string) string {
+	if stamp == "" {
+		return `"" (unstamped: math/rand per-trial reseeding)`
+	}
+	return fmt.Sprintf("%q", stamp)
 }
 
 // geometryMatches reports whether two headers agree on the
@@ -154,15 +178,6 @@ func parseWeights(m map[string]momentWire) (map[string]Moments, error) {
 		out[k] = Moments{WSum: wsum, WSum2: wsum2}
 	}
 	return out, nil
-}
-
-// legacyCheckpoint is the version-1 single-object schema.
-type legacyCheckpoint struct {
-	Version   int           `json:"version"`
-	Scenario  string        `json:"scenario"`
-	Trials    int           `json:"trials"`
-	ShardSize int           `json:"shard_size"`
-	Shards    []shardRecord `json:"shards"`
 }
 
 // sampleWire is the JSON form of Sample. Coordinates travel as
@@ -340,12 +355,16 @@ func (p *Partial) ShardWeights(idx int, name string) (m Moments, ok bool) {
 }
 
 // MatchesPlan validates that this partial is the output of exactly the
-// given plan: same campaign geometry (scenario, trials, shard size),
-// same partition, no params-digest conflict, and every completed shard
-// inside the plan's range. It is the upload-acceptance check of the
-// fabric coordinator — a partial that passes can be handed to Merge
+// given plan: the same trial streams, the same campaign geometry
+// (scenario, trials, shard size), the same partition, no params-digest
+// conflict, and every completed shard inside the plan's range. It is
+// the upload-acceptance check of the fabric coordinator and the resume
+// check of the executor — a partial that passes can be handed to Merge
 // alongside the plan's siblings without further identity checks.
 func (p *Partial) MatchesPlan(plan *Plan) error {
+	if err := p.header.checkStreams(describePartial(p)); err != nil {
+		return err
+	}
 	h := plan.header()
 	if !p.header.geometryMatches(h) || p.header.partition() != h.partition() {
 		return fmt.Errorf("campaign: partial %s is for scenario %q (%d trials, shard %d, partition %s), want %q (%d trials, shard %d, partition %s)",
@@ -455,11 +474,10 @@ func (p *Partial) record(rec *shardRecord) error {
 	return nil
 }
 
-// OpenPartial reads a partial-result artifact (version 2 or 3, or a
-// legacy version-1 checkpoint, which loads as partition 0/1 with
-// identical shard contents) for merging. A plain JSONL file keeps
-// only per-shard counters resident (samples are re-read on demand);
-// a gzip-compressed one loads fully into memory.
+// OpenPartial reads a partial-result artifact (version 2 or 3) for
+// merging. A plain JSONL file keeps only per-shard counters resident
+// (samples are re-read on demand); a gzip-compressed one loads fully
+// into memory.
 func OpenPartial(path string) (*Partial, error) {
 	p, _, err := readPartial(path)
 	if err != nil {
@@ -483,9 +501,8 @@ func ReadPartial(path string) (*Partial, error) {
 // readPartial loads an artifact in any format. It returns the
 // partial, the byte offset at which a plain JSONL file's next append
 // belongs (the end of the last complete record — a torn tail is
-// excluded), and nil, nil, nil for a missing file. Version-1 files
-// return appendRewrite (they must be rewritten before appending);
-// gzip-compressed files return appendGzip (read-only at rest).
+// excluded), and nil, nil, nil for a missing file. Gzip-compressed
+// files return appendGzip (read-only at rest).
 func readPartial(path string) (*Partial, int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -524,51 +541,8 @@ func readPartial(path string) (*Partial, int64, error) {
 		return nil, 0, fmt.Errorf("campaign: partial %s has no version field", path)
 	}
 	switch header.Version {
-	case partialVersionLegacy:
-		if gzipped {
-			return nil, 0, fmt.Errorf("campaign: partial %s is a compressed legacy checkpoint (not supported)", path)
-		}
-		// The whole file is one version-1 JSON object; the "header" we
-		// just parsed is the object itself (field names overlap), but
-		// re-read it as the legacy schema to get the shards.
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, 0, fmt.Errorf("campaign: read partial: %w", rerr)
-		}
-		var cp legacyCheckpoint
-		if uerr := json.Unmarshal(data, &cp); uerr != nil {
-			return nil, 0, fmt.Errorf("campaign: parse checkpoint %s: %w", path, uerr)
-		}
-		p := &Partial{
-			header: partialHeader{
-				Version:        partialVersion,
-				Scenario:       cp.Scenario,
-				Trials:         cp.Trials,
-				ShardSize:      cp.ShardSize,
-				PartitionIndex: 0,
-				PartitionCount: 1,
-			},
-			counters: make(map[int]map[string]int64),
-			mem:      make(map[int]*shardRecord),
-			path:     path,
-		}
-		numShards := p.header.numShards()
-		for i := range cp.Shards {
-			rec := cp.Shards[i]
-			if rec.Index < 0 || rec.Index >= numShards {
-				return nil, 0, fmt.Errorf("campaign: checkpoint %s has out-of-range shard %d", path, rec.Index)
-			}
-			if rec.Counters == nil {
-				rec.Counters = make(map[string]int64)
-			}
-			if err := p.record(&rec); err != nil {
-				return nil, 0, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
-			}
-		}
-		return p, appendRewrite, nil
-
 	case partialVersion, partialVersionWeighted:
-		if header.Trials <= 0 || header.ShardSize <= 0 {
+		if header.Trials <= 0 || header.ShardSize <= 0 || header.Trials > math.MaxInt-(header.ShardSize-1) {
 			return nil, 0, fmt.Errorf("campaign: partial %s has invalid geometry (%d trials, shard %d)", path, header.Trials, header.ShardSize)
 		}
 		if err := header.partition().validate(); err != nil {
@@ -630,6 +604,11 @@ func readPartial(path string) (*Partial, int64, error) {
 		}
 		return p, appendAt, nil
 	}
+	if err := header.checkStreams(path); err != nil {
+		// A version-1 checkpoint of an older release: name the stream
+		// mismatch, the reason it can never resume.
+		return nil, 0, err
+	}
 	return nil, 0, fmt.Errorf("campaign: partial %s has version %d, want %d or %d", path, header.Version, partialVersion, partialVersionWeighted)
 }
 
@@ -640,12 +619,10 @@ type partialAppender struct {
 	offset int64
 }
 
-// createPartialFile writes a fresh version-2 artifact holding the
-// header and the given records (used both for new artifacts and for
-// migrating a version-1 checkpoint), atomically via rename, and
-// returns an appender positioned at its end. The records' file
-// locations are recorded into loc.
-func createPartialFile(path string, header partialHeader, records []*shardRecord, loc map[int][2]int64) (*partialAppender, error) {
+// createPartialFile writes a fresh artifact holding only the header,
+// atomically via rename, and returns an appender positioned at its
+// end.
+func createPartialFile(path string, header partialHeader) (*partialAppender, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: partial dir: %w", err)
 	}
@@ -656,15 +633,6 @@ func createPartialFile(path string, header partialHeader, records []*shardRecord
 	}
 	buf.Write(head)
 	buf.WriteByte('\n')
-	for _, rec := range records {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: encode shard %d: %w", rec.Index, err)
-		}
-		loc[rec.Index] = [2]int64{int64(buf.Len()), int64(len(line) + 1)}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		return nil, fmt.Errorf("campaign: write partial: %w", err)

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -35,7 +37,16 @@ func (p Partition) validate() error {
 // [first, end) of a numShards-shard campaign the partition owns;
 // planner and merger must agree on it exactly.
 func (p Partition) shardRange(numShards int) (first, end int) {
-	return p.Index * numShards / p.Count, (p.Index + 1) * numShards / p.Count
+	return scaledShard(p.Index, numShards, p.Count), scaledShard(p.Index+1, numShards, p.Count)
+}
+
+// scaledShard returns floor(i*numShards/count) for 0 <= i <= count
+// with a 128-bit intermediate product, so the boundary stays exact for
+// any trial count NewPlan accepts and any partition count.
+func scaledShard(i, numShards, count int) int {
+	hi, lo := bits.Mul64(uint64(i), uint64(numShards))
+	q, _ := bits.Div64(hi, lo, uint64(count))
+	return int(q)
 }
 
 // shardSpan is the single authority for the global trial range
@@ -75,11 +86,11 @@ func ParsePartition(s string) (Partition, error) {
 // campaign: the global shard geometry (which depends only on the
 // scenario's trial count and the shard size, never on the partition)
 // plus this partition's contiguous shard range. Because shard
-// boundaries and the TrialSeed stream are pure functions of the global
-// trial index, the shards a partition executes are bit-identical to
-// the ones a single process would execute for the same indices, which
-// is what lets Merge reassemble a multi-process campaign into the
-// single-process Result.
+// boundaries and each trial's TrialRNG stream are pure functions of
+// the global trial index, the shards a partition executes are
+// bit-identical to the ones a single process would execute for the
+// same indices, which is what lets Merge reassemble a multi-process
+// campaign into the single-process Result.
 type Plan struct {
 	Scenario  string
 	Trials    int // global trial count
@@ -102,9 +113,13 @@ type Plan struct {
 	Weighted bool
 }
 
-// NewPlan validates the scenario geometry (1..MaxTrials trials) and
-// computes the partition's shard range. shardSize <= 0 selects
-// DefaultShardSize.
+// NewPlan validates the scenario geometry and computes the
+// partition's shard range. shardSize <= 0 selects DefaultShardSize.
+// Any positive trial count is accepted as long as the shard geometry
+// stays representable: total+shardSize-1, the numerator of the shard
+// count and the end of the last shard's span, must not overflow an
+// int. TrialRNG gives every int trial index its own stream, so there
+// is no stream-aliasing cap.
 func NewPlan(scn Scenario, shardSize int, part Partition) (*Plan, error) {
 	if scn == nil {
 		return nil, fmt.Errorf("campaign: nil scenario")
@@ -112,11 +127,6 @@ func NewPlan(scn Scenario, shardSize int, part Partition) (*Plan, error) {
 	total := scn.Trials()
 	if total <= 0 {
 		return nil, fmt.Errorf("campaign: scenario %q has no trials", scn.Name())
-	}
-	if total > MaxTrials {
-		return nil, fmt.Errorf("campaign: scenario %q has %d trials, above the cap of %d (2^31-1): "+
-			"math/rand reduces per-trial seeds mod 2^31-1, so trial i and trial i+%d would replay the same stream",
-			scn.Name(), total, MaxTrials, MaxTrials)
 	}
 	if part == (Partition{}) {
 		part = Whole
@@ -126,6 +136,10 @@ func NewPlan(scn Scenario, shardSize int, part Partition) (*Plan, error) {
 	}
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
+	}
+	if total > math.MaxInt-(shardSize-1) {
+		return nil, fmt.Errorf("campaign: scenario %q has %d trials; with shard size %d the shard geometry overflows an int (at most %d trials)",
+			scn.Name(), total, shardSize, math.MaxInt-(shardSize-1))
 	}
 	numShards := (total + shardSize - 1) / shardSize
 	first, end := part.shardRange(numShards)
@@ -178,6 +192,7 @@ func (p *Plan) header() partialHeader {
 	}
 	return partialHeader{
 		Version:        version,
+		Streams:        TrialStreams,
 		Scenario:       p.Scenario,
 		Trials:         p.Trials,
 		ShardSize:      p.ShardSize,

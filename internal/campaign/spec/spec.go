@@ -930,11 +930,18 @@ func renderMemsim(w io.Writer, cfg memsim.Config, cres *campaign.Result) error {
 	if err != nil {
 		return err
 	}
-	agree := "inside"
-	if lo, hi := memsim.WilsonInterval(res.CapabilityExceeded, res.Trials, 4); chainP < lo || chainP > hi {
-		agree = "OUTSIDE"
+	lo4, hi4 := memsim.WilsonInterval(res.CapabilityExceeded, res.Trials, 4)
+	band := func(p float64) string {
+		if p < lo4 || p > hi4 {
+			return "OUTSIDE"
+		}
+		return "inside"
 	}
-	fmt.Fprintf(w, "markov chain:    P_fail = %.4e (%s the Monte Carlo 4-sigma band)\n", chainP, agree)
+	fmt.Fprintf(w, "markov chain:    P_fail = %.4e (%s the Monte Carlo 4-sigma band)\n", chainP, band(chainP))
+	if exact, ok := memsim.ExactCapabilityExceeded(cfg); ok {
+		fmt.Fprintf(w, "exact:           P(capability exceeded) = %.4e (%s the band; the chain ignores bit cancellation)\n",
+			exact, band(exact))
+	}
 	return nil
 }
 
@@ -1024,15 +1031,19 @@ func renderArray(w io.Writer, cfg array.SimConfig, v *array.CrossValidation, cre
 		fmt.Fprintf(w, "  [%d resumed]", cres.ResumedTrials)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "word fail:       MC %.4e (95%% CI [%.4e, %.4e])  analytic %.4e\n",
+	fmt.Fprintf(w, "word fail:       MC %.4e (95%% CI [%.4e, %.4e])  analytic %.4e",
 		v.WordFailMC, v.WordFailLo, v.WordFailHi, v.WordFailAnalytic)
+	if v.ReferenceExact {
+		fmt.Fprintf(w, "  exact %.4e", v.WordFailReference)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "any-word fail:   MC %.4e (95%% CI [%.4e, %.4e])  analytic %.4e\n",
 		v.AnyWordFailMC, v.AnyWordFailLo, v.AnyWordFailHi, v.AnyWordFailAnalytic)
 	verdict := "agrees"
 	if !v.Agrees {
 		verdict = "DISAGREES"
 	}
-	fmt.Fprintf(w, "cross-check:     analytic %s with the Monte Carlo band\n", verdict)
+	fmt.Fprintf(w, "cross-check:     %s %s with the Monte Carlo band\n", v.ReferenceName(), verdict)
 	return nil
 }
 

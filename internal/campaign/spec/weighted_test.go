@@ -19,10 +19,11 @@ import (
 // TestGoldenUnitWeightEquivalence pins the exact pre-refactor output
 // of one memsim and one pagesim campaign: counters, params digest and
 // the byte-level sha256 of the checkpoint artifact, all captured from
-// the engine as it was before counters grew weight moments. Unit
-// weights (no sampling block) must keep reproducing these bytes
-// forever — any drift means the weighted-trial refactor changed the
-// unweighted path. The artifacts run single-worker because shard
+// the engine as it was before counters grew weight moments (and
+// re-pinned once when the trial streams moved to campaign.TrialRNG,
+// which also stamps the artifact header). Unit weights (no sampling
+// block) must keep reproducing these bytes forever — any drift means
+// the weighted-trial refactor changed the unweighted path. The artifacts run single-worker because shard
 // records append in completion order, which only a sequential
 // executor pins down; the counters are worker-count independent.
 func TestGoldenUnitWeightEquivalence(t *testing.T) {
@@ -38,36 +39,36 @@ func TestGoldenUnitWeightEquivalence(t *testing.T) {
 			text:   `{"seed":11,"workers":1,"scenarios":[{"name":"golden-memsim","kind":"memsim","params":{"n":18,"k":16,"m":8,"lambda_bit_per_hour":2e-4,"lambda_symbol_per_hour":1e-5,"scrub_period_hours":4,"exponential_scrub":true,"horizon_hours":48,"trials":2000}}]}`,
 			digest: "16e7c4f8f0d85a94f8edb55689f263a3b2780bb5942f2b93e52a4d917a98c15f",
 			counters: map[string]int64{
-				"capability_exceeded":  216,
-				"correct":              1784,
-				"data_bit_errors":      81,
-				"no_output":            202,
-				"permanent_faults":     13,
-				"scrub_miscorrections": 57,
-				"scrub_ops":            23968,
-				"seus":                 2719,
-				"wrong_output":         14,
+				"capability_exceeded":  232,
+				"correct":              1768,
+				"data_bit_errors":      67,
+				"no_output":            219,
+				"permanent_faults":     21,
+				"scrub_miscorrections": 67,
+				"scrub_ops":            23677,
+				"seus":                 2787,
+				"wrong_output":         13,
 			},
-			artifactSHA256: "ec939d2420bd1184a6bcaec031fde17940f8aa8514163cbb107f3af27adce243",
-			artifactBytes:  1683,
+			artifactSHA256: "aa36caa9e1249f14677300d30349215a1aa10e499fe5a5a1c706386c9fa9dc5d",
+			artifactBytes:  1863,
 		},
 		{
 			label:  "pagesim",
 			text:   `{"seed":11,"workers":1,"scenarios":[{"name":"golden-pagesim","kind":"interleave","params":{"depth":4,"lambda_bit_per_hour":3e-4,"burst_per_kilobit_hour":5e-5,"burst_bits":6,"lambda_column_per_hour":1e-5,"scrub_period_hours":4,"horizon_hours":24,"trials":1500}}]}`,
 			digest: "252ff7b5cb67e880fb08fb05b8b715a13c1eb70b4bdde3702db5e6dd05e7055b",
 			counters: map[string]int64{
-				"bursts":            1,
-				"corrected_symbols": 855,
-				"failed_stripes":    469,
-				"page_correct":      1056,
-				"page_loss":         444,
-				"page_silent_loss":  24,
+				"bursts":            2,
+				"corrected_symbols": 837,
+				"failed_stripes":    409,
+				"page_correct":      1105,
+				"page_loss":         395,
+				"page_silent_loss":  25,
 				"scrub_ops":         7500,
-				"seus":              6597,
-				"stuck_columns":     19,
+				"seus":              6389,
+				"stuck_columns":     25,
 			},
-			artifactSHA256: "2984bbac954c6dc007e6e39b48ef6fa246e007c069314167e75fda2d456e211b",
-			artifactBytes:  1367,
+			artifactSHA256: "f0cca04d97cd5ae93155688f0c8f15325384ed7dc0de90e4cb2d263c93e9bc6c",
+			artifactBytes:  1402,
 		},
 	}
 	for _, sp := range specs {

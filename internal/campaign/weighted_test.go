@@ -3,7 +3,6 @@ package campaign
 import (
 	"compress/gzip"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -30,16 +29,16 @@ func (s *tiltScenario) Name() string   { return s.name }
 func (s *tiltScenario) Trials() int    { return s.trials }
 func (s *tiltScenario) Weighted() bool { return !s.unit }
 func (s *tiltScenario) NewWorker() (Worker, error) {
-	return &tiltWorker{scn: s, rng: rand.New(rand.NewSource(0))}, nil
+	return &tiltWorker{scn: s, rng: NewTrialRNG()}, nil
 }
 
 type tiltWorker struct {
 	scn *tiltScenario
-	rng *rand.Rand
+	rng *TrialRNG
 }
 
 func (w *tiltWorker) Trial(i int, acc *Acc) error {
-	w.rng.Seed(TrialSeed(w.scn.seed, i))
+	w.rng.Key(w.scn.seed, i)
 	acc.Add("raw_events", 2) // diagnostics stay integer in weighted runs too
 	if w.rng.Float64() < w.scn.pBiased {
 		if w.scn.unit {

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"time"
 
@@ -56,11 +56,10 @@ var errUnauthorized = errors.New("fabric: executor: registry rejected the bearer
 // moment, so their retries do not arrive as synchronized waves.
 type backoff struct {
 	d, base, max time.Duration
-	rng          *rand.Rand
 }
 
 func newBackoff(base, max time.Duration) *backoff {
-	return &backoff{d: base, base: base, max: max, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	return &backoff{d: base, base: base, max: max}
 }
 
 func (b *backoff) next() time.Duration {
@@ -69,7 +68,7 @@ func (b *backoff) next() time.Duration {
 	if b.d > b.max {
 		b.d = b.max
 	}
-	return d/2 + time.Duration(b.rng.Int63n(int64(d/2)+1))
+	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }
 
 func (b *backoff) reset() { b.d = b.base }

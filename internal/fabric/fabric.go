@@ -52,8 +52,9 @@
 // registry reports no more work will come.
 //
 // Uploads are validated before acceptance: the partial's header must
-// match the slice's plan exactly (scenario, trials, shard size,
-// partition, params digest) and must cover every shard of the slice —
+// match the slice's plan exactly (trial-streams stamp, scenario,
+// trials, shard size, partition, params digest) and must cover every
+// shard of the slice —
 // a stale, foreign or truncated upload is rejected with a 409 and the
 // slice is immediately re-queued. Between arrivals the registry folds
 // each entry's contiguous shard prefix incrementally and re-decides

@@ -419,6 +419,84 @@ func TestFabricRejectsBadUploads(t *testing.T) {
 	}
 }
 
+// TestFabricRejectsUnstampedUploads: upload validation refuses a
+// partial without the engine's trial-streams stamp — the fixtures
+// written before the stamp existed, and a correct upload for the
+// leased slice with only its stamp removed — and names both stamps.
+func TestFabricRejectsUnstampedUploads(t *testing.T) {
+	doc := `{"seed": 3, "shard_size": 64, "scenarios": [
+	  {"name": "mission", "kind": "memsim",
+	   "params": {"lambda_bit_per_hour": 6e-4, "lambda_symbol_per_hour": 2e-4,
+	              "horizon_hours": 24, "trials": 128}}]}`
+	r, srv, f, built, _ := startRegistry(t, doc, 1, time.Minute, nil)
+	b := built[0]
+	lease := func() *Lease {
+		body, _ := json.Marshal(leaseRequest{Executor: "tester"})
+		resp, err := http.Post(srv.URL+pathLease, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var reply leaseReply
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if reply.Lease == nil {
+			t.Fatal("no lease granted")
+		}
+		return reply.Lease
+	}
+	refused := func(name string, body []byte) {
+		t.Helper()
+		l := lease() // each refusal re-queues the slice
+		resp, err := http.Post(srv.URL+pathUpload+"?lease="+l.ID, "application/jsonl", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, http.StatusConflict)
+		}
+		for _, want := range []string{"unstamped", campaign.TrialStreams} {
+			if !strings.Contains(string(msg), want) {
+				t.Errorf("%s: refusal %q does not name stamp %q", name, msg, want)
+			}
+		}
+	}
+
+	for _, fixture := range []string{"mathrand-v2.partial.jsonl", "mathrand-v3.partial.jsonl"} {
+		body, err := os.ReadFile(filepath.Join("..", "campaign", "testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(fixture, body)
+	}
+
+	plan, err := campaign.NewPlan(b.Scenario, 64, campaign.Whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.ParamsDigest = b.EngineConfig(f).ParamsDigest
+	partial, err := campaign.Execute(b.Scenario, plan, campaign.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := partial.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stamp := []byte(`"streams":"` + campaign.TrialStreams + `",`)
+	if !bytes.Contains(buf.Bytes(), stamp) {
+		t.Fatalf("serialized partial lacks %s", stamp)
+	}
+	refused("stamp removed", bytes.Replace(buf.Bytes(), stamp, nil, 1))
+
+	if st := r.Status(); st.Rejected != 3 {
+		t.Errorf("status counts %d rejected uploads, want 3", st.Rejected)
+	}
+}
+
 // TestFabricAdoptsExistingPartials: a registry restarted over a
 // directory of completed uploads resumes done instead of recomputing.
 func TestFabricAdoptsExistingPartials(t *testing.T) {

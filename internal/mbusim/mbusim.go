@@ -386,13 +386,13 @@ func (s *scenario) Trials() int { return s.cfg.Trials }
 
 // NewWorker implements campaign.Scenario.
 func (s *scenario) NewWorker() (campaign.Worker, error) {
-	return &worker{scn: s, rng: rand.New(rand.NewSource(0))}, nil
+	return &worker{scn: s, rng: campaign.NewTrialRNG()}, nil
 }
 
 // worker owns the per-goroutine RNG and the recycled burst buffer.
 type worker struct {
 	scn    *scenario
-	rng    *rand.Rand
+	rng    *campaign.TrialRNG
 	bursts [][2]int
 }
 
@@ -402,9 +402,10 @@ type worker struct {
 func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	cfg := w.scn.cfg
 	for i, sys := range w.scn.systems {
-		w.rng.Seed(campaign.TrialSeed(cfg.Seed+int64(i)*7919, trial))
+		w.rng.Key(cfg.Seed+int64(i)*7919, trial)
+		rng := w.rng.Rand
 		mean := cfg.EventsPerKilobit * float64(sys.StoredBits()) / 1000
-		n := poisson(w.rng, mean)
+		n := poisson(rng, mean)
 		w.bursts = w.bursts[:0]
 		// Each event samples its length from the configured
 		// distribution (capped at the image), then a start uniform
@@ -413,11 +414,11 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 		// truncate bursts landing near the edge, under-dosing
 		// small-footprint systems.
 		for j := 0; j < n; j++ {
-			length := w.scn.dist.Sample(w.rng, sys.StoredBits())
-			w.bursts = append(w.bursts, [2]int{w.rng.Intn(sys.StoredBits() - length + 1), length})
+			length := w.scn.dist.Sample(rng, sys.StoredBits())
+			w.bursts = append(w.bursts, [2]int{rng.Intn(sys.StoredBits() - length + 1), length})
 		}
 		acc.Add(w.scn.eventsKeys[i], int64(n))
-		ok, err := sys.Trial(w.rng, w.bursts)
+		ok, err := sys.Trial(rng, w.bursts)
 		if err != nil {
 			return fmt.Errorf("mbusim: %s: %w", sys.Name(), err)
 		}

@@ -60,8 +60,8 @@
 // within-guarantee bursts are counted, since they are the subset the
 // invariant speaks about.
 //
-// Campaigns run on the internal/campaign engine with per-trial
-// reseeding, so the aggregate statistics are bit-identical for any
+// Campaigns run on the internal/campaign engine with per-trial keyed
+// random streams (campaign.TrialRNG), so the aggregate statistics are bit-identical for any
 // worker count and inherit checkpointing and early stopping. All
 // rates are per hour, matching internal/memsim. As with mbusim, the
 // fixed distribution samples its length without consuming randomness,
@@ -74,7 +74,6 @@ package pagesim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/burstlen"
 	"repro/internal/campaign"
@@ -421,7 +420,7 @@ func (s *scenario) NewWorker() (campaign.Worker, error) {
 // reusable page codec (whose DecodeTo runs each page through the rs
 // batch arena path, so healthy stripes cost only the syndrome
 // screen, and whose arena holds the corrected codewords scrub writes
-// back), the RNG (reseeded per trial), the stored-page state and
+// back), the RNG (keyed per trial), the stored-page state and
 // every erasure buffer, so the steady state performs no per-trial
 // heap allocation.
 type worker struct {
@@ -434,7 +433,7 @@ type worker struct {
 	guaranteeBits int
 	page          *interleave.Page
 	codec         *interleave.Codec
-	rng           *rand.Rand
+	rng           *campaign.TrialRNG
 	sched         scrub.Scheduler
 
 	data   []gf.Elem // page payload scratch
@@ -470,7 +469,7 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 		guaranteeBits: (page.CorrectableBurst()-1)*m + 1,
 		page:          page,
 		codec:         page.NewCodec(),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		rng:           campaign.NewTrialRNG(),
 		data:          make([]gf.Elem, page.DataSymbols()),
 		truth:         make([]gf.Elem, page.StoredSymbols()),
 		stored:        make([]gf.Elem, page.StoredSymbols()),
@@ -483,7 +482,7 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 	w.sched = scrub.Never{}
 	if cfg.ScrubPeriod > 0 {
 		if cfg.ExponentialScrub {
-			w.sched = &scrub.Exponential{Period: cfg.ScrubPeriod, Rng: w.rng}
+			w.sched = &scrub.Exponential{Period: cfg.ScrubPeriod, Rng: w.rng.Rand}
 		} else {
 			w.sched = scrub.Periodic{Period: cfg.ScrubPeriod}
 		}
@@ -495,8 +494,8 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 // final read, reproducible from the trial index alone.
 func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	cfg := w.cfg
-	w.rng.Seed(campaign.TrialSeed(cfg.Seed, trial))
-	rng := w.rng
+	w.rng.Key(cfg.Seed, trial)
+	rng := w.rng.Rand
 	page := w.page
 	m := page.Code().Field().M()
 	storedSymbols := page.StoredSymbols()

@@ -181,7 +181,10 @@ func BenchmarkCrossValidationMonteCarlo(b *testing.B) {
 // from the analytic chain) and reports effective trials per second —
 // the ESS the weighted estimator accumulates per wall-clock second,
 // which is the number raw trials/s overstates by the tilt's variance
-// cost. benchdiff carries etrials/s as a report-only column.
+// cost. benchdiff carries etrials/s as a report-only column. The
+// campaign runs on two workers whatever GOMAXPROCS is, so its
+// allocs/op (which benchdiff gates exactly) do not depend on the
+// runner's core count.
 func BenchmarkRareEventTiltedCampaign(b *testing.B) {
 	f8 := gf.MustField(8)
 	code := rs.MustNew(f8, 18, 16)
@@ -201,7 +204,7 @@ func BenchmarkRareEventTiltedCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cfg
 		c.Seed = int64(i + 1)
-		_, cres, err := memsim.RunCampaign(c, campaign.Config{})
+		_, cres, err := memsim.RunCampaign(c, campaign.Config{Workers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,17 +33,18 @@ type ExecutorConfig struct {
 	// lease to expire and the slice to be stolen, which is what the
 	// chaos test in CI arranges deterministically.
 	UploadDelay time.Duration
-	// DrainTimeout is how long the registry may be unreachable — after
-	// having been reached at least once — before the executor drains
-	// and exits cleanly (0 = 15s). A registry that was never reachable
-	// is an error instead, after a 30s startup grace window.
-	DrainTimeout time.Duration
 	// Client issues the HTTP requests (nil = a client with sane
 	// timeouts for everything but the upload itself).
 	Client *http.Client
 	// Log receives progress (nil = standard logger).
 	Log *log.Logger
 }
+
+// drainTimeout is how long the registry may be unreachable — after
+// having been reached at least once — before an executor drains and
+// exits cleanly. A registry that was never reachable is an error
+// instead, after a 30s startup grace window.
+const drainTimeout = 15 * time.Second
 
 // errUnauthorized aborts the executor immediately: a rejected token
 // will not start working on retry.
@@ -125,9 +126,6 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = "executor"
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 15 * time.Second
-	}
 	e := &executor{cfg: cfg, client: client, log: logger, specs: make(map[string]*builtJob)}
 
 	idle := newBackoff(100*time.Millisecond, 2*time.Second)  // registry has no work for us
@@ -155,9 +153,9 @@ func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 				if unreachableSince.IsZero() {
 					unreachableSince = time.Now()
 				}
-				if time.Since(unreachableSince) > cfg.DrainTimeout {
+				if time.Since(unreachableSince) > drainTimeout {
 					logger.Printf("fabric: executor %s: registry unreachable for %s (%v); draining",
-						cfg.Name, cfg.DrainTimeout, err)
+						cfg.Name, drainTimeout, err)
 					return nil
 				}
 			}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,9 +38,12 @@ func (r *Registry) Handler() http.Handler {
 // authorize authenticates a mutating request. Open registries (no
 // tenants configured) admit everyone as the anonymous tenant; tenanted
 // registries require a bearer token and resolve it to the tenant name.
-// On failure it writes the 401 and returns ok=false.
+// The presented token is compared in constant time against every
+// tenant's token, so neither the match position nor the length of a
+// shared prefix shows in the response time. On failure it writes the
+// 401 and returns ok=false.
 func (r *Registry) authorize(w http.ResponseWriter, req *http.Request) (tenant string, ok bool) {
-	if len(r.tokens) == 0 {
+	if len(r.tenants) == 0 {
 		return "", true
 	}
 	h := req.Header.Get("Authorization")
@@ -49,13 +53,17 @@ func (r *Registry) authorize(w http.ResponseWriter, req *http.Request) (tenant s
 		http.Error(w, "missing bearer token", http.StatusUnauthorized)
 		return "", false
 	}
-	t, found := r.tokens[strings.TrimPrefix(h, scheme)]
-	if !found {
+	presented := []byte(strings.TrimPrefix(h, scheme))
+	for _, t := range r.tenants {
+		if subtle.ConstantTimeCompare(presented, []byte(t.Token)) == 1 {
+			tenant, ok = t.Name, true
+		}
+	}
+	if !ok {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="fabric"`)
 		http.Error(w, "unknown bearer token", http.StatusUnauthorized)
-		return "", false
 	}
-	return t.Name, true
+	return tenant, ok
 }
 
 func (r *Registry) handleSubmit(w http.ResponseWriter, req *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -152,10 +153,10 @@ type leaseRef struct {
 // fleet and folds their uploads. All mutable state is guarded by mu;
 // plans and spec structures are immutable after Submit.
 type Registry struct {
-	cfg    RegistryConfig
-	log    *log.Logger
-	tokens map[string]Tenant // bearer token -> tenant; empty = open
-	quotas map[string]int    // tenant name -> MaxLeases
+	cfg     RegistryConfig
+	log     *log.Logger
+	tenants []Tenant       // bearer-token holders; empty = open
+	quotas  map[string]int // tenant name -> MaxLeases
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -191,25 +192,25 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: workdir: %w", err)
 	}
-	tokens := make(map[string]Tenant, len(cfg.Tenants))
+	tokens := make(map[string]bool, len(cfg.Tenants))
 	quotas := make(map[string]int, len(cfg.Tenants))
 	for _, t := range cfg.Tenants {
 		if t.Name == "" || t.Token == "" {
 			return nil, fmt.Errorf("fabric: tenant needs both a name and a token")
 		}
-		if _, dup := tokens[t.Token]; dup {
+		if tokens[t.Token] {
 			return nil, fmt.Errorf("fabric: duplicate tenant token")
 		}
 		if _, dup := quotas[t.Name]; dup {
 			return nil, fmt.Errorf("fabric: duplicate tenant name %q", t.Name)
 		}
-		tokens[t.Token] = t
+		tokens[t.Token] = true
 		quotas[t.Name] = t.MaxLeases
 	}
 	return &Registry{
 		cfg:       cfg,
 		log:       logger,
-		tokens:    tokens,
+		tenants:   slices.Clone(cfg.Tenants),
 		quotas:    quotas,
 		jobs:      make(map[string]*job),
 		leases:    make(map[string]leaseRef),
@@ -533,7 +534,7 @@ func (r *Registry) Delete(id, tenant string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrJobNotFound, id)
 	}
-	if len(r.tokens) > 0 && tenant != j.tenant {
+	if len(r.tenants) > 0 && tenant != j.tenant {
 		return fmt.Errorf("%w: %s", ErrForbidden, id)
 	}
 	if jobTerminal(j.state) {

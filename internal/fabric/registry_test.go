@@ -203,6 +203,24 @@ func TestRegistryAuth(t *testing.T) {
 		}
 	}
 
+	// Near misses of a real token are unknown tokens: the last byte
+	// flipped, and a strict prefix.
+	flipped := []byte("tok-a")
+	flipped[len(flipped)-1] ^= 1
+	for _, tok := range []string{string(flipped), "tok-"} {
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+pathLease, strings.NewReader("{}"))
+		req.Header.Set("Authorization", "Bearer "+tok)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnauthorized || strings.TrimSpace(string(body)) != "unknown bearer token" {
+			t.Errorf("token %q: status %d body %q, want 401 unknown bearer token", tok, resp.StatusCode, body)
+		}
+	}
+
 	// A valid token submits, and the job is owned by the token's tenant.
 	st := postJobs(t, srv.URL, "tok-a", twoKindDoc)
 	if st.Tenant != "alice" {

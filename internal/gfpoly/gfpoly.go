@@ -13,11 +13,11 @@
 // The Reed-Solomon hot path in internal/rs no longer routes through
 // this package — its encoder, syndrome, locator and Chien/Forney
 // kernels operate on fixed workspace buffers — but the full primitive
-// set is kept deliberately: the Sugiyama audit decoder
-// (rs.DecodeEuclidean) is written against it, the rs and gf tests
-// cross-check the fused kernels against these straightforward
-// implementations, and future codecs (BCH, interleaved variants) need
-// the same algebra.
+// set is kept deliberately: rs builds its generator with it, the
+// Sugiyama key-equation oracle in the rs tests is written against it,
+// the rs and gf tests cross-check the fused kernels against these
+// straightforward implementations, and future codecs (BCH, interleaved
+// variants) need the same algebra.
 package gfpoly
 
 import (

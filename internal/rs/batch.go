@@ -246,15 +246,14 @@ func (bd *BatchDecoder) Workers() int { return bd.workers }
 //
 // DecodeAll screens every word with the packed syndrome fold; clean
 // words never leave the screen, and dirty words hand the folded
-// syndromes straight to the per-word pipeline instead of recomputing
-// them (the screen's byte lanes *are* the syndromes). Words with
-// erasures additionally resolve their position set through a small
-// per-worker cache of erasure-locator setups, so an arena sharing one
-// located-column set pays the polynomial construction once. The
-// returned BatchResult aliases the workspace; the steady state of
-// repeated same-shape serial calls performs no heap allocation
-// (word-level decode failures allocate their error values, built once
-// per cached erasure set).
+// syndromes straight to the shared decode back half instead of
+// recomputing them (the screen's byte lanes *are* the syndromes).
+// Words resolve their erasure set through a small per-worker cache of
+// erasure-locator setups, so an arena sharing one located-column set
+// pays the front end once. The returned BatchResult aliases the
+// workspace; the steady state of repeated same-shape serial calls
+// performs no heap allocation (an invalid erasure list allocates its
+// error once per cached set, an out-of-range symbol once per word).
 func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
 	c := bd.c
 	n := c.n
@@ -357,7 +356,7 @@ func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordRe
 		// error before looking at the erasure list.
 		return l.fullDecode(word, ers)
 	}
-	var ent *erasureEntry
+	ent := &l.cache.none
 	if len(ers) > 0 {
 		ent = l.cache.get(ers)
 		if ent.err != nil {
@@ -368,29 +367,32 @@ func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordRe
 		return WordResult{}
 	}
 	// Syndrome handoff: the screen's byte lanes are the word's packed
-	// syndromes; unpack them into the decoder register so the pipeline
-	// never recomputes the O(n*d) Horner pass it just paid for.
+	// syndromes; unpack them into the decoder register and enter the
+	// shared back half with the cached erasure locator, so the word
+	// never recomputes the O(n*d) Horner pass the screen just paid for.
 	syn := l.dec.syn
 	for j := range syn {
 		syn[j] = gf.Elem(l.acc[j>>3] >> (8 * (j & 7)) & 0xff)
 	}
-	dres, err := l.dec.decodeWithSyndromes(word, ent)
-	if err != nil {
-		return WordResult{Err: err}
-	}
-	copy(word, dres.Codeword)
-	return WordResult{Corrections: dres.Corrections}
+	res, err := l.dec.correct(word, ent.gamma, len(ent.positions), ent.roots)
+	return writeBack(word, res, err)
 }
 
 // fullDecode runs the unabridged per-word pipeline (validation,
 // Horner syndromes and all) and applies the correction in place.
 func (l *batchLane) fullDecode(word []gf.Elem, ers []int) WordResult {
-	dres, err := l.dec.decode(word, ers, false)
+	res, err := l.dec.Decode(word, ers)
+	return writeBack(word, res, err)
+}
+
+// writeBack applies a successful decode to the arena word in place; a
+// failed word is left as received.
+func writeBack(word []gf.Elem, res *Result, err error) WordResult {
 	if err != nil {
 		return WordResult{Err: err}
 	}
-	copy(word, dres.Codeword)
-	return WordResult{Corrections: dres.Corrections}
+	copy(word, res.Codeword)
+	return WordResult{Corrections: res.Corrections}
 }
 
 // screen folds the word's packed syndrome contributions into the lane

@@ -1,10 +1,6 @@
 package rs
 
-import (
-	"fmt"
-
-	"repro/internal/gf"
-)
+import "repro/internal/gf"
 
 // This file implements the erasure-set locator cache behind the batch
 // decode layer. The erasure locator Gamma(x) and its Chien/Forney
@@ -55,19 +51,19 @@ type erasureRoot struct {
 }
 
 // erasureEntry caches everything about one erasure position set that
-// Decoder.Decode would otherwise recompute per word: the validation
-// outcome (err non-nil reproduces the exact Decode error for every
-// word sharing an invalid list), the locator Gamma zero-padded to d+1
-// coefficients, and the per-root Forney setup. fastOK guards the
-// no-Chien fast path; it is false in the degenerate case of a
-// vanishing Forney denominator, which the general sweep classifies.
+// Decoder.Decode would otherwise recompute per word: the outcome of
+// the shared erasure front end (err is the exact Decode error for
+// every word sharing an invalid list), the locator Gamma it built (d+1
+// coefficients) and the per-root Forney setup. roots is empty when the
+// no-Chien fast path is unavailable: for the empty set, and in the
+// degenerate case of a vanishing Forney denominator, which the general
+// sweep classifies.
 type erasureEntry struct {
 	key       uint64
 	positions []int
 	err       error
 	gamma     []gf.Elem
 	roots     []erasureRoot
-	fastOK    bool
 }
 
 // erasureCache is the per-lane (hence single-goroutine) direct-mapped
@@ -76,6 +72,9 @@ type erasureCache struct {
 	c       *Code
 	buckets [erasureCacheBuckets]*erasureEntry
 	erased  []bool // validation bitset, kept all-false between builds
+	// none is the entry of the empty erasure set (Gamma = 1), which
+	// erasure-free words take into the shared back half.
+	none erasureEntry
 
 	// One-entry pointer memo, valid only within a single DecodeAll
 	// call (reset at every range start): lists shared across an
@@ -86,7 +85,9 @@ type erasureCache struct {
 }
 
 func newErasureCache(c *Code) erasureCache {
-	return erasureCache{c: c, erased: make([]bool, c.n)}
+	ec := erasureCache{c: c, erased: make([]bool, c.n)}
+	ec.build(&ec.none, nil)
+	return ec
 }
 
 // resetMemo invalidates the intra-call pointer memo; the content-keyed
@@ -144,74 +145,30 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// build fills the entry for the erasure list: validation replicating
-// Decoder.decode exactly (same order, same messages), then Gamma and
-// the per-root Forney setup.
+// build fills the entry for the erasure list: the shared erasure
+// front end (validation and Gamma, exactly as Decoder.Decode runs it),
+// then the per-root Forney setup. Only words that passed the batch
+// screen look sets up, so the field always has multiplication-table
+// rows here.
 func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 	c := ec.c
 	f := c.f
-	d := c.n - c.k
 	e.positions = append(e.positions[:0], ers...)
-	e.err = nil
-	e.gamma = e.gamma[:0]
 	e.roots = e.roots[:0]
-	e.fastOK = false
-
-	// Validation in list order, range before duplicate per position,
-	// exactly as decode reports it. The bitset is kept all-false
-	// between builds by clearing only the positions set here.
-	for i, p := range ers {
-		if p < 0 || p >= c.n {
-			e.err = fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
-		} else if ec.erased[p] {
-			e.err = fmt.Errorf("rs: duplicate erasure position %d", p)
-		} else {
-			ec.erased[p] = true
-			continue
-		}
-		for _, q := range ers[:i] {
-			ec.erased[q] = false
-		}
+	if e.gamma == nil {
+		e.gamma = make([]gf.Elem, c.n-c.k+1)
+	}
+	e.err = c.erasureLocator(e.gamma, ec.erased, ers)
+	if e.err != nil {
 		return
-	}
-	for _, p := range ers {
-		ec.erased[p] = false
-	}
-	rho := len(ers)
-	if rho > d {
-		e.err = ErrTooManyErasures
-		return
-	}
-
-	// Gamma(x) = prod (1 - x*alpha^(n-1-p)), built exactly as decode
-	// builds it, zero-padded to d+1 coefficients. Each linear factor
-	// multiplies through one row view when the field carries tables.
-	for len(e.gamma) <= d {
-		e.gamma = append(e.gamma, 0)
-	}
-	for i := range e.gamma {
-		e.gamma[i] = 0
-	}
-	e.gamma[0] = 1
-	for deg, p := range ers {
-		a := f.Exp(c.n - 1 - p)
-		if row := f.MulRow(a); row != nil {
-			for j := deg + 1; j >= 1; j-- {
-				e.gamma[j] ^= row[e.gamma[j-1]]
-			}
-		} else {
-			for j := deg + 1; j >= 1; j-- {
-				e.gamma[j] ^= f.Mul(e.gamma[j-1], a)
-			}
-		}
 	}
 
 	// oddTop is the highest odd index with rho coefficients in play.
+	rho := len(ers)
 	oddTop := rho
 	if oddTop%2 == 0 {
 		oddTop--
 	}
-	e.fastOK = true
 	for _, pos := range ers {
 		p := c.n - 1 - pos
 		x := f.Exp(p)
@@ -220,23 +177,16 @@ func (ec *erasureCache) build(e *erasureEntry, ers []int) {
 		// this is xInv*Gamma'(xInv), the fused-Forney derivative term —
 		// evaluated as a Horner chain in xInv^2 over the odd
 		// coefficients, scaled by xInv.
-		xi2 := f.Mul(xInv, xInv)
+		row := f.MulRow(f.Mul(xInv, xInv))
 		var odd gf.Elem
-		if row := f.MulRow(xi2); row != nil {
-			for j := oddTop; j >= 1; j -= 2 {
-				odd = row[odd] ^ e.gamma[j]
-			}
-		} else {
-			for j := oddTop; j >= 1; j -= 2 {
-				odd = f.Mul(odd, xi2) ^ e.gamma[j]
-			}
+		for j := oddTop; j >= 1; j -= 2 {
+			odd = row[odd] ^ e.gamma[j]
 		}
 		odd = f.Mul(odd, xInv)
 		if odd == 0 {
 			// Distinct valid erasures make every root simple, so this
 			// is unreachable; routed to the general Chien/Forney sweep
 			// defensively rather than dividing by zero.
-			e.fastOK = false
 			e.roots = e.roots[:0]
 			return
 		}

@@ -35,10 +35,16 @@
 // alias the workspace and stay valid only until the next call on that
 // Decoder. Prefer Decoder.Decode in hot loops (one Decoder per
 // goroutine; a Decoder is not safe for concurrent use). The
-// Code.Decode / Code.DecodeEuclidean wrappers keep the original
-// callers working: they borrow a pooled Decoder for the heavy scratch
-// and return an independent Result the caller may retain, at the cost
+// Code.Decode wrapper borrows a pooled Decoder for the heavy scratch
+// and returns an independent Result the caller may retain, at the cost
 // of the Result's own slices being freshly allocated.
+//
+// Every decode runs one pipeline: a front end that validates the word
+// and its erasure list and builds the erasure locator, then one back
+// half — erasure-initialized Berlekamp-Massey, the errata evaluator,
+// the fused Chien/Forney sweep and the residual-syndrome check. The
+// batch layer enters the same back half with syndromes and locator it
+// already holds.
 //
 // # Batch decode: arenas, strides and the clean-word fast path
 //
@@ -50,7 +56,7 @@
 // >= n, with any per-word headroom between n and Stride left
 // untouched), and DecodeAll screens each erasure-free word with a
 // packed syndrome fold over a precomputed contribution table — CRC
-// slicing-by-8 transplanted to GF(2^m), four 16-bit syndrome symbols
+// slicing-by-8 transplanted to GF(2^m), eight 8-bit syndrome symbols
 // per uint64 row — accepting clean words without ever entering the
 // Berlekamp-Massey/Chien pipeline. The screen folds syndromes for
 // every word, erasures included, and a dirty word's folded syndromes
@@ -67,8 +73,9 @@
 // only on the position set, which scrub workloads repeat heavily (one
 // located-column list for a whole page arena), so the cache keys on
 // the list's content and an erasure-only word — syndromes explained
-// by Γ alone — completes by evaluating the cached roots, with no
-// Berlekamp-Massey iteration and no Chien sweep. The lists passed to
+// by Γ alone, which Berlekamp-Massey confirms when every discrepancy
+// vanishes — completes by evaluating the cached roots, with no Chien
+// sweep. The lists passed to
 // DecodeAll must not be mutated during the call and may be shared
 // between words (see Batch); sharing one list arena-wide is the fast
 // path.
@@ -100,12 +107,11 @@ import (
 // Code is a Reed-Solomon code RS(n,k) over a fixed GF(2^m).
 // It is immutable after construction and safe for concurrent use.
 type Code struct {
-	f    *gf.Field
-	ring *gfpoly.Ring
-	n    int // codeword length in symbols
-	k    int // dataword length in symbols
-	fcr  int // power of alpha of the first consecutive generator root
-	gen  gfpoly.Poly
+	f   *gf.Field
+	n   int // codeword length in symbols
+	k   int // dataword length in symbols
+	fcr int // power of alpha of the first consecutive generator root
+	gen gfpoly.Poly
 
 	// genRev[j] = gen[d-1-j]: the LFSR feedback taps in shift-register
 	// order (tap 0 multiplies into the highest-degree parity slot).
@@ -122,7 +128,7 @@ type Code struct {
 	chienRow [][]gf.Elem
 
 	// decPool recycles Decoder workspaces for the allocating
-	// Decode/DecodeEuclidean wrappers.
+	// Code.Decode wrapper.
 	decPool sync.Pool
 
 	// batchOnce/batchTab lazily build and hold the packed
@@ -138,7 +144,7 @@ type Code struct {
 // Bounded-distance decoding cannot detect every such pattern; the
 // undetected remainder surfaces as mis-correction.
 //
-// The Berlekamp-Massey decode paths (Decode, Decoder.Decode,
+// The decode paths (Code.Decode, Decoder.Decode,
 // BatchDecoder.DecodeAll) return the per-reason sentinels below as
 // they are, never wrapped further. Each sentinel wraps
 // ErrUncorrectable, so errors.Is classifies both the class and the
@@ -151,11 +157,8 @@ type Code struct {
 //   - ErrRepeatedRoot: the errata locator has a repeated root;
 //   - ErrResidualSyndromes: the corrected word is not a codeword.
 //
-// The sentinels are shared values whose messages no longer carry
-// erasure, error or root counts, so a detected failure allocates
-// nothing. Only the Sugiyama key-equation solver behind
-// DecodeEuclidean, the independent reference oracle, still formats
-// counted messages of its own.
+// The sentinels are shared values whose messages carry no erasure,
+// error or root counts, so a detected failure allocates nothing.
 var ErrUncorrectable = errors.New("rs: uncorrectable word")
 
 // Per-reason uncorrectable outcomes; see ErrUncorrectable.
@@ -195,10 +198,11 @@ func NewWithFCR(f *gf.Field, n, k, fcr int) (*Code, error) {
 	case fcr < 0:
 		return nil, fmt.Errorf("rs: negative fcr=%d", fcr)
 	}
-	c := &Code{f: f, ring: gfpoly.NewRing(f), n: n, k: k, fcr: fcr}
+	c := &Code{f: f, n: n, k: k, fcr: fcr}
+	polys := gfpoly.NewRing(f)
 	g := gfpoly.One()
 	for j := 0; j < n-k; j++ {
-		g = c.ring.Mul(g, gfpoly.Poly{f.Exp(fcr + j), 1})
+		g = polys.Mul(g, gfpoly.Poly{f.Exp(fcr + j), 1})
 	}
 	c.gen = g
 
@@ -457,16 +461,10 @@ type Decoder struct {
 	cpsi   []gf.Elem // Chien term registers for Psi
 	psiDeg int       // degree of psi after the key-equation solve
 
-	erased []bool    // erasure bitset over codeword positions
+	erased []bool    // erasure bitset, all-false between calls
 	word   []gf.Elem // corrected word
 	errPos []int     // ErrorPositions backing store
 	res    Result
-
-	// bmPure records whether the last berlekampMassey run saw every
-	// discrepancy vanish — i.e. the syndromes are fully explained by
-	// the erasure locator and Psi == Gamma. The batch layer's
-	// erasure-only fast path keys on it.
-	bmPure bool
 }
 
 // NewDecoder returns a fresh decoding workspace for c.
@@ -491,20 +489,14 @@ func (c *Code) NewDecoder() *Decoder {
 func (dec *Decoder) Code() *Code { return dec.c }
 
 // Decode corrects the received word into the workspace, treating the
-// listed positions (codeword indices, 0-based) as erasures, solving
-// the key equation with erasure-initialized Berlekamp-Massey. See
+// listed positions (codeword indices, 0-based) as erasures. See
 // Code.Decode for the decoding semantics and the Decoder type for the
 // aliasing contract of the returned Result.
 func (dec *Decoder) Decode(received []gf.Elem, erasures []int) (*Result, error) {
-	return dec.decode(received, erasures, false)
-}
-
-// DecodeEuclidean is Decoder.Decode with the key equation solved by
-// the Sugiyama extended-Euclidean algorithm. Unlike the BM path it
-// allocates during the solve (it is the audit implementation, not the
-// hot one); the rest of the pipeline still runs in the workspace.
-func (dec *Decoder) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result, error) {
-	return dec.decode(received, erasures, true)
+	if err := dec.prepare(received, erasures); err != nil {
+		return nil, err
+	}
+	return dec.correct(received, dec.gamma, len(erasures), nil)
 }
 
 // Decode corrects the received word in place of a copy, treating the
@@ -515,131 +507,153 @@ func (dec *Decoder) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result
 // bounded-distance decoding; callers that know the ground truth (the
 // simulator, the tests) can compare Codeword against it.
 //
-// Decode solves the key equation with erasure-initialized
-// Berlekamp-Massey; DecodeEuclidean is the independent Sugiyama
-// implementation with identical input/output behavior. Both borrow a
-// pooled Decoder for scratch and return an independent Result; hot
-// loops should hold their own Decoder and call its methods instead.
+// Decode borrows a pooled Decoder for scratch and returns an
+// independent Result; hot loops should hold their own Decoder and call
+// its Decode method instead.
 func (c *Code) Decode(received []gf.Elem, erasures []int) (*Result, error) {
-	return c.decodePooled(received, erasures, false)
-}
-
-// DecodeEuclidean is Decode with the key equation solved by the
-// Sugiyama extended-Euclidean algorithm instead of Berlekamp-Massey.
-// Both are bounded-distance decoders of the same code, so they accept
-// and reject exactly the same received words and produce identical
-// codewords — a property the tests enforce; production use can pick
-// either (BM allocates less, Euclid is easier to audit).
-func (c *Code) DecodeEuclidean(received []gf.Elem, erasures []int) (*Result, error) {
-	return c.decodePooled(received, erasures, true)
-}
-
-// decodePooled runs a workspace decode on a pooled Decoder and copies
-// the Result out so the caller may retain it.
-func (c *Code) decodePooled(received []gf.Elem, erasures []int, euclid bool) (*Result, error) {
 	dec := c.decPool.Get().(*Decoder)
-	res, err := dec.decode(received, erasures, euclid)
+	defer c.decPool.Put(dec)
+	res, err := dec.Decode(received, erasures)
 	if err != nil {
-		c.decPool.Put(dec)
 		return nil, err
 	}
-	out := &Result{
-		Codeword:    append([]gf.Elem(nil), res.Codeword...),
-		Corrections: res.Corrections,
-		Flag:        res.Flag,
-	}
-	out.Data = out.Codeword[:c.k]
-	if len(res.ErrorPositions) > 0 {
-		out.ErrorPositions = append([]int(nil), res.ErrorPositions...)
-	}
-	c.decPool.Put(dec)
-	return out, nil
+	return res.clone(), nil
 }
 
-// decode runs the decoding pipeline in the workspace: validate once at
-// the public boundary, syndromes, erasure locator, key-equation solve,
-// evaluator, fused incremental Chien/Forney sweep, and the final
-// syndrome re-check on the (self-produced, hence unvalidated)
-// corrected word.
-func (dec *Decoder) decode(received []gf.Elem, erasures []int, euclid bool) (*Result, error) {
+// clone returns a copy of r that owns its slices.
+func (r *Result) clone() *Result {
+	out := &Result{
+		Codeword:    append([]gf.Elem(nil), r.Codeword...),
+		Corrections: r.Corrections,
+		Flag:        r.Flag,
+	}
+	out.Data = out.Codeword[:len(r.Data)]
+	if len(r.ErrorPositions) > 0 {
+		out.ErrorPositions = append([]int(nil), r.ErrorPositions...)
+	}
+	return out
+}
+
+// prepare is the per-word front end: it validates the word and its
+// erasure list once at the public boundary, leaves the erasure locator
+// in dec.gamma and the word's syndromes in dec.syn.
+func (dec *Decoder) prepare(received []gf.Elem, erasures []int) error {
 	c := dec.c
-	d := c.n - c.k
 	if len(received) != c.n {
-		return nil, fmt.Errorf("rs: word has %d symbols, want n=%d", len(received), c.n)
+		return fmt.Errorf("rs: word has %d symbols, want n=%d", len(received), c.n)
 	}
 	if err := c.checkSymbols(received); err != nil {
-		return nil, err
+		return err
 	}
-	for i := range dec.erased {
-		dec.erased[i] = false
+	if err := c.erasureLocator(dec.gamma, dec.erased, erasures); err != nil {
+		return err
 	}
-	for _, p := range erasures {
-		if p < 0 || p >= c.n {
-			return nil, fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
-		}
-		if dec.erased[p] {
-			return nil, fmt.Errorf("rs: duplicate erasure position %d", p)
-		}
-		dec.erased[p] = true
-	}
-	rho := len(erasures)
-	if rho > d {
-		return nil, ErrTooManyErasures
-	}
-
 	c.syndromes(dec.syn, received)
+	return nil
+}
+
+// erasureLocator is the erasure front end shared by Decoder.Decode and
+// the batch erasure-set cache. It validates the list in list order, a
+// position's range before its uniqueness, then builds the erasure
+// locator Gamma(x) = prod (1 - x*alpha^(n-1-p)) into gamma (d+1
+// coefficients, zero-padded) by in-place multiplication with one
+// linear factor per erasure. erased is a length-n bitset that is
+// all-false on entry and on return: only the positions set here are
+// cleared again.
+func (c *Code) erasureLocator(gamma []gf.Elem, erased []bool, ers []int) error {
+	for i, p := range ers {
+		var err error
+		if p < 0 || p >= c.n {
+			err = fmt.Errorf("rs: erasure position %d out of range [0,%d)", p, c.n)
+		} else if erased[p] {
+			err = fmt.Errorf("rs: duplicate erasure position %d", p)
+		} else {
+			erased[p] = true
+			continue
+		}
+		for _, q := range ers[:i] {
+			erased[q] = false
+		}
+		return err
+	}
+	for _, p := range ers {
+		erased[p] = false
+	}
+	if len(ers) > c.n-c.k {
+		return ErrTooManyErasures
+	}
+	f := c.f
+	clear(gamma)
+	gamma[0] = 1
+	for deg, p := range ers {
+		a := f.Exp(c.n - 1 - p)
+		if row := f.MulRow(a); row != nil {
+			for j := deg + 1; j >= 1; j-- {
+				gamma[j] ^= row[gamma[j-1]]
+			}
+		} else {
+			for j := deg + 1; j >= 1; j-- {
+				gamma[j] ^= f.Mul(gamma[j-1], a)
+			}
+		}
+	}
+	return nil
+}
+
+// correct is the back half every decode path shares. It takes the
+// word's syndromes in dec.syn and its erasure locator gamma (rho
+// erasures) and runs Berlekamp-Massey, then errata. roots are the
+// erasure set's precomputed locator roots from the batch cache, or
+// nil; they are used only when Berlekamp-Massey finds the syndromes
+// fully explained by the erasures.
+func (dec *Decoder) correct(received, gamma []gf.Elem, rho int, roots []erasureRoot) (*Result, error) {
 	copy(dec.word, received)
 	if allZero(dec.syn) {
 		// Already a codeword. Erased positions hold consistent values.
 		return dec.buildResult(received), nil
 	}
-
-	// Erasure locator Gamma(x) = prod (1 - x*alpha^(n-1-i)), built by
-	// in-place multiplication with one linear factor per erasure.
-	gamma := dec.gamma
-	for i := range gamma {
-		gamma[i] = 0
-	}
-	gamma[0] = 1
-	for deg, p := range erasures {
-		a := c.f.Exp(c.n - 1 - p)
-		for j := deg + 1; j >= 1; j-- {
-			gamma[j] ^= c.f.Mul(gamma[j-1], a)
-		}
-	}
-
-	var err error
-	if euclid {
-		err = dec.euclidSolve(rho)
-	} else {
-		err = dec.berlekampMassey(rho)
-	}
+	pure, err := dec.berlekampMassey(gamma, rho)
 	if err != nil {
 		return nil, err
 	}
-
-	// Errata evaluator Omega(x) = S(x)*Psi(x) mod x^(n-k).
-	omega := dec.omega
-	for i := range omega {
-		omega[i] = 0
+	if !pure {
+		roots = nil
 	}
+	return dec.errata(received, roots)
+}
+
+// errata finishes a decode from the errata locator Psi in dec.psi:
+// the evaluator Omega = S*Psi mod x^(n-k), the correction of dec.word
+// — by the fused Chien/Forney sweep, or by Forney alone at roots when
+// the caller knows Psi == Gamma and has its roots — and the final
+// syndrome re-check on the (self-produced, hence unvalidated)
+// corrected word.
+func (dec *Decoder) errata(received []gf.Elem, roots []erasureRoot) (*Result, error) {
+	c := dec.c
+	d := c.n - c.k
+	omega := dec.omega
+	clear(omega)
 	for j := 0; j <= dec.psiDeg && j < d; j++ {
 		c.f.AddMulSlice(omega[j:], dec.syn[:d-j], dec.psi[j])
 	}
 
-	nroots, err := dec.chienForney()
-	if err != nil {
-		return nil, err
-	}
-	if nroots != dec.psiDeg {
-		// Some locator roots fall outside the (possibly shortened)
-		// codeword: the error pattern exceeded the capability.
-		return nil, ErrLocatorRoots
+	if len(roots) > 0 {
+		dec.forneyAtRoots(roots)
+	} else {
+		nroots, err := dec.chienForney()
+		if err != nil {
+			return nil, err
+		}
+		if nroots != dec.psiDeg {
+			// Some locator roots fall outside the (possibly shortened)
+			// codeword: the error pattern exceeded the capability.
+			return nil, ErrLocatorRoots
+		}
 	}
 	// Re-check: a successful bounded-distance decode must land on a
-	// codeword; anything else is a detected failure. The sweep folded
-	// every correction into the syndrome register, so the register now
-	// holds the corrected word's syndromes without re-scanning it.
+	// codeword; anything else is a detected failure. The correction
+	// folded into the syndrome register, so the register now holds the
+	// corrected word's syndromes without re-scanning it.
 	if !allZero(dec.syn) {
 		return nil, ErrResidualSyndromes
 	}
@@ -664,69 +678,6 @@ func (dec *Decoder) buildResult(received []gf.Elem) *Result {
 	return res
 }
 
-// decodeWithSyndromes runs the decoding pipeline on a word whose n-k
-// syndromes already sit in dec.syn — the batch screen's handoff, which
-// folded them as packed byte lanes — skipping symbol validation (the
-// screen's OR check proved validity), erasure-list validation (the
-// caller resolved it through the erasure-set cache and ent.err was
-// nil) and the O(n*d) Horner syndrome pass. ent carries the word's
-// cached erasure-set setup, or is nil for an erasure-free word. The
-// outcome is identical to decode(received, ent.positions, false).
-//
-// When the erasure-set entry supports it and Berlekamp-Massey saw
-// every discrepancy vanish (Psi == Gamma: the syndromes are fully
-// explained by the erasures), the correction applies directly at the
-// entry's precomputed locator roots and the O(n*deg) Chien sweep is
-// skipped entirely.
-func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (*Result, error) {
-	c := dec.c
-	d := c.n - c.k
-	copy(dec.word, received)
-	if allZero(dec.syn) {
-		return dec.buildResult(received), nil
-	}
-
-	rho := 0
-	gamma := dec.gamma
-	if ent != nil {
-		rho = len(ent.positions)
-		copy(gamma, ent.gamma)
-	} else {
-		for i := range gamma {
-			gamma[i] = 0
-		}
-		gamma[0] = 1
-	}
-
-	if err := dec.berlekampMassey(rho); err != nil {
-		return nil, err
-	}
-
-	omega := dec.omega
-	for i := range omega {
-		omega[i] = 0
-	}
-	for j := 0; j <= dec.psiDeg && j < d; j++ {
-		c.f.AddMulSlice(omega[j:], dec.syn[:d-j], dec.psi[j])
-	}
-
-	if ent != nil && rho > 0 && ent.fastOK && dec.bmPure {
-		dec.forneyAtRoots(ent)
-	} else {
-		nroots, err := dec.chienForney()
-		if err != nil {
-			return nil, err
-		}
-		if nroots != dec.psiDeg {
-			return nil, ErrLocatorRoots
-		}
-	}
-	if !allZero(dec.syn) {
-		return nil, ErrResidualSyndromes
-	}
-	return dec.buildResult(received), nil
-}
-
 // forneyAtRoots applies the Forney correction at the precomputed roots
 // of the erasure locator — the erasure-only fast path taken when
 // Psi == Gamma, so the errata positions are exactly the erasure set
@@ -734,7 +685,7 @@ func (dec *Decoder) decodeWithSyndromes(received []gf.Elem, ent *erasureEntry) (
 // The arithmetic is the root-hit body of chienForney verbatim (same
 // magnitudes, same syndrome folding), minus the O(n*deg) sweep; the
 // caller's residual-syndrome check still stands guard behind it.
-func (dec *Decoder) forneyAtRoots(ent *erasureEntry) {
+func (dec *Decoder) forneyAtRoots(roots []erasureRoot) {
 	f := dec.c.f
 	omega := dec.omega
 	omegaDeg := len(omega) - 1
@@ -743,76 +694,58 @@ func (dec *Decoder) forneyAtRoots(ent *erasureEntry) {
 	}
 	fcr1 := dec.c.fcr == 1
 	syn := dec.syn
-	if f.MulRow(1) != nil {
-		// Row-view form: the Horner numerator and the syndrome fold are
-		// serial chains of one-constant multiplies, so each runs on a
-		// single L1-resident table row instead of log/exp round trips —
-		// and two roots' chains are independent, so they interleave to
-		// overlap the load latencies (the syndrome folds of a pair XOR
-		// into the same register, which is the same GF sum).
-		roots := ent.roots
-		i := 0
-		for ; i+1 < len(roots); i += 2 {
-			r0, r1 := &roots[i], &roots[i+1]
-			row0, row1 := f.MulRow(r0.xInv), f.MulRow(r1.xInv)
-			var n0, n1 gf.Elem
-			for j := omegaDeg; j >= 0; j-- {
-				w := omega[j]
-				n0 = row0[n0] ^ w
-				n1 = row1[n1] ^ w
-			}
-			mag0 := f.Mul(n0, r0.invDenom)
-			mag1 := f.Mul(n1, r1.invDenom)
-			if !fcr1 {
-				mag0 = f.Mul(mag0, r0.fcrAdj)
-				mag1 = f.Mul(mag1, r1.fcrAdj)
-			}
-			dec.word[r0.pos] ^= mag0
-			dec.word[r1.pos] ^= mag1
-			rx0, rx1 := f.MulRow(r0.x), f.MulRow(r1.x)
-			t0 := f.Mul(mag0, r0.synBase)
-			t1 := f.Mul(mag1, r1.synBase)
-			for j := range syn {
-				syn[j] ^= t0 ^ t1
-				t0 = rx0[t0]
-				t1 = rx1[t1]
-			}
+	// Row-view form (the erasure-set cache serves only fields with
+	// multiplication tables, the batch screen's precondition): the
+	// Horner numerator and the syndrome fold are serial chains of
+	// one-constant multiplies, so each runs on a single L1-resident
+	// table row instead of log/exp round trips — and two roots' chains
+	// are independent, so they interleave to overlap the load latencies
+	// (the syndrome folds of a pair XOR into the same register, which
+	// is the same GF sum).
+	i := 0
+	for ; i+1 < len(roots); i += 2 {
+		r0, r1 := &roots[i], &roots[i+1]
+		row0, row1 := f.MulRow(r0.xInv), f.MulRow(r1.xInv)
+		var n0, n1 gf.Elem
+		for j := omegaDeg; j >= 0; j-- {
+			w := omega[j]
+			n0 = row0[n0] ^ w
+			n1 = row1[n1] ^ w
 		}
-		for ; i < len(roots); i++ {
-			r := &roots[i]
-			rowXInv := f.MulRow(r.xInv)
-			var num gf.Elem
-			for j := omegaDeg; j >= 0; j-- {
-				num = rowXInv[num] ^ omega[j]
-			}
-			mag := f.Mul(num, r.invDenom)
-			if !fcr1 {
-				mag = f.Mul(mag, r.fcrAdj)
-			}
-			dec.word[r.pos] ^= mag
-			rowX := f.MulRow(r.x)
-			t := f.Mul(mag, r.synBase)
-			for j := range syn {
-				syn[j] ^= t
-				t = rowX[t]
-			}
+		mag0 := f.Mul(n0, r0.invDenom)
+		mag1 := f.Mul(n1, r1.invDenom)
+		if !fcr1 {
+			mag0 = f.Mul(mag0, r0.fcrAdj)
+			mag1 = f.Mul(mag1, r1.fcrAdj)
 		}
-		return
+		dec.word[r0.pos] ^= mag0
+		dec.word[r1.pos] ^= mag1
+		rx0, rx1 := f.MulRow(r0.x), f.MulRow(r1.x)
+		t0 := f.Mul(mag0, r0.synBase)
+		t1 := f.Mul(mag1, r1.synBase)
+		for j := range syn {
+			syn[j] ^= t0 ^ t1
+			t0 = rx0[t0]
+			t1 = rx1[t1]
+		}
 	}
-	for _, r := range ent.roots {
+	for ; i < len(roots); i++ {
+		r := &roots[i]
+		rowXInv := f.MulRow(r.xInv)
 		var num gf.Elem
 		for j := omegaDeg; j >= 0; j-- {
-			num = f.Mul(num, r.xInv) ^ omega[j]
+			num = rowXInv[num] ^ omega[j]
 		}
 		mag := f.Mul(num, r.invDenom)
 		if !fcr1 {
 			mag = f.Mul(mag, r.fcrAdj)
 		}
 		dec.word[r.pos] ^= mag
+		rowX := f.MulRow(r.x)
 		t := f.Mul(mag, r.synBase)
 		for j := range syn {
 			syn[j] ^= t
-			t = f.Mul(t, r.x)
+			t = rowX[t]
 		}
 	}
 }
@@ -898,26 +831,27 @@ func (dec *Decoder) chienForney() (int, error) {
 
 // berlekampMassey runs the erasure-initialized Berlekamp-Massey
 // algorithm over the workspace syndromes and leaves the errata locator
-// Psi = Lambda * Gamma in dec.psi (rho is the erasure count; dec.gamma
-// holds the erasure locator). A detected capability overflow returns
-// ErrUncorrectable. The solve is allocation-free: the three locator
-// registers rotate among the workspace buffers instead of being
-// reallocated per length change.
+// Psi = Lambda * Gamma in dec.psi (gamma is the erasure locator of rho
+// erasures). pure reports that every discrepancy vanished — the
+// syndromes are fully explained by the erasures and Psi == Gamma. A
+// detected capability overflow returns ErrTooManyErrors. The solve is
+// allocation-free: the three locator registers rotate among the
+// workspace buffers instead of being reallocated per length change.
 //
 // This is the canonical Massey formulation with an explicit register
 // length L (initialized to rho) rather than polynomial degrees, which
 // is essential at full capability where degree bookkeeping and
 // register length diverge.
-func (dec *Decoder) berlekampMassey(rho int) error {
+func (dec *Decoder) berlekampMassey(gamma []gf.Elem, rho int) (pure bool, err error) {
 	c, f := dec.c, dec.c.f
 	d := c.n - c.k
 	lambda, bprev, tmp := dec.psi, dec.bprev, dec.tmp
-	copy(lambda, dec.gamma)
-	copy(bprev, dec.gamma)
+	copy(lambda, gamma)
+	copy(bprev, gamma)
 	bdelta := gf.Elem(1) // discrepancy at last length change
 	shift := 1           // x-power accumulated since last length change
 	length := rho        // current errata register length
-	dec.bmPure = true
+	pure = true
 
 	for k := rho; k < d; k++ {
 		// Discrepancy delta = sum_j Lambda_j * S_(k-j).
@@ -933,7 +867,7 @@ func (dec *Decoder) berlekampMassey(rho int) error {
 			shift++
 			continue
 		}
-		dec.bmPure = false
+		pure = false
 		// tmp = lambda + (delta/bdelta) * x^shift * bprev.
 		copy(tmp, lambda)
 		if shift <= d {
@@ -961,65 +895,8 @@ func (dec *Decoder) berlekampMassey(rho int) error {
 	}
 	errs := length - rho
 	if errs < 0 || 2*errs+rho > d || deg != length {
-		return ErrTooManyErrors
+		return false, ErrTooManyErrors
 	}
 	dec.psiDeg = deg
-	return nil
-}
-
-// euclidSolve solves the key equation by the Sugiyama
-// extended-Euclidean algorithm: run Euclid on (x^d, Xi) where
-// Xi = S*Gamma mod x^d are the modified syndromes, stopping when the
-// remainder degree drops below (d+rho)/2; the accumulated multiplier
-// is the error locator Lambda, and Psi = Lambda * Gamma is left in
-// dec.psi. Unlike the BM path it allocates (gfpoly arithmetic): it is
-// the independently-auditable reference solver, not the hot one.
-func (dec *Decoder) euclidSolve(rho int) error {
-	c := dec.c
-	d := c.n - c.k
-	ring := c.ring
-	g := gfpoly.Poly(dec.gamma).Clone()
-	xi := ring.ModXPow(ring.Mul(gfpoly.Poly(dec.syn), g), d)
-	if xi.IsZero() {
-		// All errata sit in erased positions: Lambda = 1.
-		return dec.setPsi(g)
-	}
-	rPrev := gfpoly.Monomial(d, 1)
-	rCur := xi
-	tPrev := gfpoly.Zero()
-	tCur := gfpoly.One()
-	stop := (d + rho) / 2
-	for rCur.Degree() >= stop {
-		quo, rem := ring.DivMod(rPrev, rCur)
-		rPrev, rCur = rCur, rem
-		tPrev, tCur = tCur, ring.Add(tPrev, ring.Mul(quo, tCur))
-		if rCur.IsZero() {
-			break
-		}
-	}
-	lambda := tCur
-	l0 := lambda.Coeff(0)
-	if l0 == 0 {
-		return fmt.Errorf("%w: euclid locator has zero constant term", ErrUncorrectable)
-	}
-	lambda = ring.Scale(lambda, c.f.Inv(l0))
-	errs := lambda.Degree()
-	if 2*errs+rho > d {
-		return fmt.Errorf("%w: %d errors with %d erasures exceed n-k=%d", ErrUncorrectable, errs, rho, d)
-	}
-	return dec.setPsi(ring.Mul(lambda, g))
-}
-
-// setPsi copies a solver-produced errata locator into the workspace.
-func (dec *Decoder) setPsi(psi gfpoly.Poly) error {
-	d := dec.c.n - dec.c.k
-	deg := psi.Degree()
-	if deg > d {
-		return fmt.Errorf("%w: errata locator degree %d exceeds n-k=%d", ErrUncorrectable, deg, d)
-	}
-	for i := range dec.psi {
-		dec.psi[i] = psi.Coeff(i)
-	}
-	dec.psiDeg = deg
-	return nil
+	return pure, nil
 }

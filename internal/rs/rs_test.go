@@ -607,7 +607,7 @@ func BenchmarkDecodeRS3616TenErrors(b *testing.B) {
 func decodersAgree(t *testing.T, c *Code, received []gf.Elem, erasures []int) bool {
 	t.Helper()
 	bm, bmErr := c.Decode(received, erasures)
-	eu, euErr := c.DecodeEuclidean(received, erasures)
+	eu, euErr := decodeEuclidean(c, received, erasures)
 	if (bmErr != nil) != (euErr != nil) {
 		t.Logf("disagreement: BM err=%v, Euclid err=%v", bmErr, euErr)
 		return false
@@ -650,7 +650,7 @@ func TestEuclideanDecoderWithinCapability(t *testing.T) {
 			for _, p := range positions {
 				bad[p] ^= gf.Elem(1 + rng.Intn(c.Field().Size()-1))
 			}
-			res, err := c.DecodeEuclidean(bad, positions[:er])
+			res, err := decodeEuclidean(c, bad, positions[:er])
 			if err != nil {
 				t.Fatalf("RS(%d,%d) er=%d re=%d: euclid failed: %v", params[0], params[1], er, re, err)
 			}
@@ -733,7 +733,7 @@ func TestEuclideanErasuresOnly(t *testing.T) {
 	for _, p := range positions {
 		bad[p] ^= gf.Elem(1 + rng.Intn(255))
 	}
-	res, err := c.DecodeEuclidean(bad, positions)
+	res, err := decodeEuclidean(c, bad, positions)
 	if err != nil {
 		t.Fatalf("full erasure load failed: %v", err)
 	}
@@ -752,7 +752,7 @@ func BenchmarkDecodeEuclideanRS3616TenErrors(b *testing.B) {
 	bad, _ := corrupt(rng, c, cw, 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeEuclidean(bad, nil); err != nil {
+		if _, err := decodeEuclidean(c, bad, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -13,24 +12,28 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/campaign/spec"
 	"repro/internal/fabric"
 )
 
-// serveOptions configures -serve, both the legacy single-spec
-// coordinator (with -spec) and the multi-tenant job service (without).
+// serveOptions configures -serve, the multi-tenant job service.
 type serveOptions struct {
-	specPath     string
+	specPath     string // -spec: submitted locally as the only job
 	addr         string
 	baseDir      string // -partials: each job's namespace lands under it
 	slices       int
 	leaseTimeout time.Duration
-	outDir       string
-	quiet        bool
-	stream       bool
 	tenants      string // -tenants name=token[:maxLeases],...
 	drainAfter   int    // -drain-after: exit after N jobs all finished
 }
+
+// HTTP server limits. Uploads get no read or write timeout, so a large
+// partial on a slow link is not cut off; shutdownTimeout bounds how
+// long a drained service lets in-flight replies finish writing.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 10 * time.Second
+)
 
 // parseTenants parses the -tenants flag: comma-separated
 // name=token[:maxLeases] triples.
@@ -58,13 +61,23 @@ func parseTenants(s string) ([]fabric.Tenant, error) {
 	return tenants, nil
 }
 
-// newRegistry assembles the fabric registry shared by both serve
-// modes.
-func newRegistry(opts serveOptions, logger *log.Logger) *fabric.Registry {
+// runService is the multi-tenant job service: jobs arrive over POST
+// /jobs, are scheduled onto the shared executor fleet, and merge
+// server-side into their own namespace. With -drain-after N the
+// service exits once N jobs have been submitted and all of them
+// finished, and the fleet and watchers have heard so (the registry's
+// drained handshake); otherwise it serves until killed. -spec submits
+// that spec locally as the only job and prints its results directory,
+// as -watch does.
+func runService(opts serveOptions) int {
 	tenants, err := parseTenants(opts.tenants)
 	if err != nil {
 		fatal(err)
 	}
+	if opts.specPath != "" {
+		opts.drainAfter = 1
+	}
+	logger := log.New(os.Stderr, "", log.LstdFlags)
 	reg, err := fabric.NewRegistry(fabric.RegistryConfig{
 		Dir:          opts.baseDir,
 		Slices:       opts.slices,
@@ -76,82 +89,36 @@ func newRegistry(opts serveOptions, logger *log.Logger) *fabric.Registry {
 	if err != nil {
 		fatal(err)
 	}
-	return reg
-}
-
-// serveRegistry starts the HTTP listener; the returned server is
-// closed by the caller once the registry drains.
-func serveRegistry(reg *fabric.Registry, addr string) (*http.Server, net.Addr) {
-	ln, err := net.Listen("tcp", addr)
+	id := ""
+	if opts.specPath != "" {
+		specBytes, err := os.ReadFile(opts.specPath)
+		if err != nil {
+			fatal(err)
+		}
+		job, err := reg.Submit(specBytes, "")
+		if err != nil {
+			fatal(err)
+		}
+		id = job.ID
+	}
+	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{Handler: reg.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go srv.Serve(ln)
-	return srv, ln.Addr()
-}
-
-// runServe is the legacy single-spec coordinator: submit the spec as
-// the registry's only job, serve leases until every slice arrived (or
-// was cancelled by an early stop), then run the ordinary merge
-// pipeline here — so -serve ends with exactly the artifacts, renders
-// and expectation verdicts an unpartitioned run would produce.
-func runServe(f *spec.File, built []*spec.Built, opts serveOptions) int {
-	specBytes, err := os.ReadFile(opts.specPath)
-	if err != nil {
-		fatal(err)
-	}
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	reg := newRegistry(opts, logger)
-	// AutoMerge off: this process merges below, with rendering and
-	// expectation checking, exactly as the pre-registry coordinator did.
-	job, err := reg.Submit(specBytes, fabric.SubmitOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	if job.State == fabric.JobFailed {
-		fatal(errors.New(job.Error))
-	}
-	// The one job is all this mode serves: drain the fleet as soon as
-	// it completes.
-	reg.SetDraining(true)
-	srv, addr := serveRegistry(reg, opts.addr)
-	logger.Printf("campaign: fabric coordinator on http://%s (uploads -> %s)", addr, job.Dir)
+	logger.Printf("campaign: fabric job service on http://%s (work dir %s)", ln.Addr(), reg.Dir())
 
 	<-reg.Done()
-	// Merge while still serving, so executors polling for work learn
-	// the campaign is done and drain cleanly instead of timing out
-	// against a vanished coordinator.
-	code := runCampaigns(f, built, runOptions{
-		outDir: opts.outDir,
-		quiet:  opts.quiet,
-		merge:  true,
-		stream: opts.stream,
-		dir:    job.Dir,
-	})
-	srv.Close()
-	return code
-}
-
-// runService is the multi-tenant job service: no spec of its own —
-// jobs arrive over POST /jobs, are scheduled onto the shared executor
-// fleet, and merge server-side into their own namespace. With
-// -drain-after N the service exits once N jobs have been submitted and
-// all of them finished (the CI shape); otherwise it serves until
-// killed.
-func runService(opts serveOptions) int {
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	reg := newRegistry(opts, logger)
-	srv, addr := serveRegistry(reg, opts.addr)
-	logger.Printf("campaign: fabric job service on http://%s (work dir %s)", addr, reg.Dir())
-
-	<-reg.Done()
-	// Linger before closing the socket: executors poll at up to a 2s
-	// idle backoff and -watch at 300ms, and both should observe the
-	// terminal state (drained reply, done/failed job) rather than a
-	// connection refused from a vanished service.
-	time.Sleep(5 * time.Second)
-	srv.Close()
+	if id != "" {
+		if job, _ := reg.Job(id); job.State == fabric.JobDone {
+			fmt.Println(job.OutDir)
+		}
+	}
+	<-reg.Drained()
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	srv.Shutdown(ctx) // lets the last done reply or -watch poll finish writing
 	code := 0
 	for _, j := range reg.Status().Jobs {
 		if j.State == fabric.JobFailed {
@@ -210,15 +177,17 @@ func runJobList(url string) int {
 func runWatch(jobURL string) int {
 	last := ""
 	misses := 0
-	for {
+	poll := time.NewTicker(300 * time.Millisecond)
+	defer poll.Stop()
+	for ; ; <-poll.C {
 		job, err := fabric.GetJob(nil, jobURL)
 		if err != nil {
-			// Transient blips tolerated; a service gone for good is not.
-			if misses++; misses > 20 {
+			// Transient blips (~10s of polls) tolerated; a service gone
+			// for good is not.
+			if misses++; misses > 33 {
 				fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 				return 1
 			}
-			time.Sleep(500 * time.Millisecond)
 			continue
 		}
 		misses = 0
@@ -236,7 +205,6 @@ func runWatch(jobURL string) int {
 			fmt.Fprintf(os.Stderr, "campaign: job %s failed: %s\n", job.ID, job.Error)
 			return 1
 		}
-		time.Sleep(300 * time.Millisecond)
 	}
 }
 

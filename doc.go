@@ -265,9 +265,12 @@
 // API (POST/GET /jobs, GET/DELETE /jobs/{id}, GET /jobs/{id}/spec)
 // rides next to the lease protocol, and cmd/campaign fronts it with
 // -serve (the service), -submit, -jobs, -watch and -status verbs;
-// with -spec, -serve degenerates to the original single-campaign
-// coordinator, which merges in-process and produces byte-identical
-// artifacts to an unpartitioned run.
+// with -spec, -serve submits that spec as its only job and prints the
+// job's results directory, byte-identical to an unpartitioned run's
+// artifacts. A finished service exits only after a drained handshake:
+// every executor that asked for work has been told the service is
+// done, or has been silent for a lease timeout, and every job's end
+// has been read.
 //
 // Executors (cmd/campaign -executor, needing nothing but the service
 // URL) are stateless and job-agnostic: every lease names its job and
@@ -298,15 +301,14 @@
 // early stopping exactly as the merger does, cancelling slices past
 // the stopping shard so a fleet never computes work a single process
 // would have skipped. When a job's last slice lands, the ordinary
-// merge runs server-side into the job's namespace (or in the -serve
-// process in legacy single-spec mode): the fabric's end-to-end law,
-// enforced by CI with two concurrent jobs on three shared executors
-// (and a chaos pass SIGKILLing one mid-run), is that every job's
-// merged artifacts are byte-identical to an unpartitioned run's. A
-// status endpoint (cmd/campaign -status) reports per-job state and
-// per-slice lease state, steal counts, trials/sec and merge progress,
-// as text or as a JSON snapshot (-status -json) for dashboards and
-// scripts.
+// merge runs server-side into the job's namespace: the fabric's
+// end-to-end law, enforced by CI with two concurrent jobs on three
+// shared executors (and a chaos pass SIGKILLing one mid-run), is that
+// every job's merged artifacts are byte-identical to an
+// unpartitioned run's. A status endpoint (cmd/campaign -status)
+// reports per-job state and per-slice lease state, steal counts,
+// trials/sec and merge progress, as text or as a JSON snapshot
+// (-status -json) for dashboards and scripts.
 //
 // Campaign identity is guarded end to end: partial artifacts and
 // checkpoints carry the scenario name, geometry and — when run

@@ -42,8 +42,9 @@ type ExecutorConfig struct {
 
 // drainTimeout is how long the registry may be unreachable — after
 // having been reached at least once — before an executor drains and
-// exits cleanly. A registry that was never reachable is an error
-// instead, after a 30s startup grace window.
+// exits cleanly: the tolerance for a registry restart (a finished one
+// replies done instead). A registry that was never reachable is an
+// error instead, after a 30s startup grace window.
 const drainTimeout = 15 * time.Second
 
 // errUnauthorized aborts the executor immediately: a rejected token
@@ -109,10 +110,10 @@ type executor struct {
 // execute the slice in memory, upload the serialized partial, renew
 // the lease in the background while computing — and repeat across
 // jobs until the registry reports it has drained. It returns nil on a
-// clean drain — including the registry becoming unreachable after
-// having been reached, which is how a fleet winds down when the
-// registry exits — and an error on cancellation, a rejected token, or
-// a registry that never answered. Transient failures retry under
+// clean drain — the registry's done reply, or a registry that was
+// reached once and then stayed unreachable for drainTimeout — and an
+// error on cancellation, a rejected token, or a registry that never
+// answered. Transient failures retry under
 // capped jittered exponential backoff and honor ctx cancellation.
 func RunExecutor(ctx context.Context, cfg ExecutorConfig) error {
 	logger := cfg.Log

@@ -26,6 +26,10 @@
 // artifact writer — into <namespace>/results, byte-identical to what
 // an unpartitioned run of the same spec would write.
 //
+// A registry with DrainAfter jobs, all terminal, is done: executors
+// get the done reply, and Drained closes once they and the jobs'
+// readers have heard it.
+//
 // # Scheduling
 //
 // The protocol is lease-based pull scheduling. An executor that asks

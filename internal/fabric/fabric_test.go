@@ -86,9 +86,8 @@ func singleProcess(t *testing.T, f *spec.File, built []*spec.Built) map[string]*
 	return want
 }
 
-// startRegistry builds a registry, submits doc as its only job (the
-// legacy single-spec shape: AutoMerge off, the test merges explicitly)
-// and marks the registry draining, then serves it. It returns the
+// startRegistry builds a DrainAfter: 1 registry, submits doc as its
+// only job (the -serve -spec shape) and serves it. It returns the
 // job's namespace directory — where validated uploads land.
 func startRegistry(t *testing.T, doc string, slices int, leaseTimeout time.Duration, logBuf io.Writer) (*Registry, *httptest.Server, *spec.File, []*spec.Built, string) {
 	t.Helper()
@@ -100,30 +99,31 @@ func startRegistry(t *testing.T, doc string, slices int, leaseTimeout time.Durat
 		Dir:          t.TempDir(),
 		Slices:       slices,
 		LeaseTimeout: leaseTimeout,
+		DrainAfter:   1,
 		Log:          log.New(logBuf, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := reg.Submit([]byte(doc), SubmitOptions{})
+	st, err := reg.Submit([]byte(doc), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State == JobFailed {
 		t.Fatalf("job failed validation: %s", st.Error)
 	}
-	reg.SetDraining(true)
 	srv := httptest.NewServer(reg.Handler())
 	t.Cleanup(srv.Close)
 	return reg, srv, f, built, st.Dir
 }
 
-// runExecutors runs n executors against the registry and waits for
-// all of them to drain.
-func runExecutors(t *testing.T, url string, n int) {
+// runExecutors runs n executors against the registry, waits for all
+// of them to drain and returns each one's log.
+func runExecutors(t *testing.T, url string, n int) []string {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
+	logs := make([]syncBuffer, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -131,26 +131,45 @@ func runExecutors(t *testing.T, url string, n int) {
 			errs[i] = RunExecutor(context.Background(), ExecutorConfig{
 				URL:  url,
 				Name: fmt.Sprintf("exec-%d", i),
-				Log:  log.New(io.Discard, "", 0),
+				Log:  log.New(&logs[i], "", 0),
 			})
 		}(i)
 	}
 	wg.Wait()
+	out := make([]string, n)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("executor %d: %v", i, err)
 		}
+		out[i] = logs[i].String()
 	}
+	return out
 }
 
 // waitDone fails the test if the registry does not drain in time.
 func waitDone(t *testing.T, r *Registry) {
 	t.Helper()
+	waitClosed(t, r, r.Done(), 2*time.Minute, "campaign did not complete")
+}
+
+// waitClosed fails the test if ch does not close within d.
+func waitClosed(t *testing.T, r *Registry, ch <-chan struct{}, d time.Duration, msg string) {
+	t.Helper()
 	select {
-	case <-r.Done():
-	case <-time.After(2 * time.Minute):
+	case <-ch:
+	case <-time.After(d):
 		st, _ := json.Marshal(r.Status())
-		t.Fatalf("campaign did not complete; status: %s", st)
+		t.Fatalf("%s; status: %s", msg, st)
+	}
+}
+
+// isClosed reports whether ch is closed right now.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -170,12 +189,26 @@ func mergeAll(t *testing.T, dir string, f *spec.File, built []*spec.Built) map[s
 
 // TestFabricMatchesSingleProcess is the fabric's law: a registry plus
 // three concurrent executors produce partials whose merge is
-// bit-identical to the single-process run, for every entry.
+// bit-identical to the single-process run, for every entry. It also
+// pins the drained handshake: every executor leaves on the registry's
+// done reply, never through the unreachable-registry fallback, and
+// Drained waits for the job's end to be read.
 func TestFabricMatchesSingleProcess(t *testing.T) {
 	r, srv, f, built, dir := startRegistry(t, twoKindDoc, 4, time.Minute, nil)
 	want := singleProcess(t, f, built)
-	runExecutors(t, srv.URL, 3)
+	for i, l := range runExecutors(t, srv.URL, 3) {
+		if !strings.Contains(l, "registry drained; exiting") || strings.Contains(l, "unreachable") {
+			t.Errorf("executor %d did not exit on the done reply:\n%s", i, l)
+		}
+	}
 	waitDone(t, r)
+	if isClosed(r.Drained()) {
+		t.Error("Drained closed before the job's terminal state was read")
+	}
+	if js, _ := r.Job(JobID([]byte(twoKindDoc))); js.State != JobDone {
+		t.Errorf("job %s (%s), want done", js.State, js.Error)
+	}
+	waitClosed(t, r, r.Drained(), 10*time.Second, "Drained open after every executor was told and the job was read")
 	got := mergeAll(t, dir, f, built)
 	for name, w := range want {
 		if !reflect.DeepEqual(w, got[name]) {
@@ -499,6 +532,8 @@ func TestFabricRejectsUnstampedUploads(t *testing.T) {
 
 // TestFabricAdoptsExistingPartials: a registry restarted over a
 // directory of completed uploads resumes done instead of recomputing.
+// With no executor ever seen, its drained handshake waits only for
+// the adopted job's end to be read.
 func TestFabricAdoptsExistingPartials(t *testing.T) {
 	var logBuf syncBuffer
 	r, srv, _, _, _ := startRegistry(t, twoKindDoc, 2, time.Minute, &logBuf)
@@ -506,22 +541,30 @@ func TestFabricAdoptsExistingPartials(t *testing.T) {
 	waitDone(t, r)
 
 	r2, err := NewRegistry(RegistryConfig{
-		Dir:    r.Dir(),
-		Slices: 2,
-		Log:    log.New(io.Discard, "", 0),
+		Dir:        r.Dir(),
+		Slices:     2,
+		DrainAfter: 1,
+		Log:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := r2.Submit([]byte(twoKindDoc), SubmitOptions{})
+	st2, err := r2.Submit([]byte(twoKindDoc), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.State != JobDone {
-		t.Fatalf("restarted registry did not adopt the completed partials: job %s (%s)", st2.State, st2.Error)
+	// An adopted job merges asynchronously, like any other.
+	done2, _ := r2.JobDone(st2.ID)
+	waitClosed(t, r2, done2, time.Minute, "adopted job did not finish")
+	if isClosed(r2.Drained()) {
+		t.Error("Drained closed before the adopted job's terminal state was read")
 	}
-	adopted := 0
 	full, _ := r2.Job(st2.ID)
+	if full.State != JobDone {
+		t.Fatalf("restarted registry did not adopt the completed partials: job %s (%s)", full.State, full.Error)
+	}
+	waitClosed(t, r2, r2.Drained(), 10*time.Second, "Drained open after the adopted job was read")
+	adopted := 0
 	for _, e := range full.Entries {
 		for _, s := range e.Slices {
 			if s.Adopted {
@@ -543,7 +586,7 @@ func TestFabricAdoptsExistingPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st3, err := r3.Submit([]byte(twoKindDoc), SubmitOptions{})
+	st3, err := r3.Submit([]byte(twoKindDoc), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,26 +43,14 @@ type RegistryConfig struct {
 	// mutating endpoint and per-tenant quota accounting. Empty = open
 	// registry (the single-operator workflow).
 	Tenants []Tenant
-	// DrainAfter, when positive, makes the registry drain on its own:
-	// once at least DrainAfter jobs have been submitted and every job
-	// is terminal, Done closes and executors are told to exit. Zero
-	// keeps the registry serving until SetDraining or process exit.
+	// DrainAfter, when positive, is the registry's one draining rule:
+	// once DrainAfter jobs are registered, Submit refuses new specs, and
+	// once every job is terminal Done closes and executors are told to
+	// exit. Zero keeps the registry serving until process exit.
 	DrainAfter int
 	// Log receives lease, steal, upload and lifecycle events
 	// (nil = standard logger).
 	Log *log.Logger
-}
-
-// SubmitOptions tunes one job submission.
-type SubmitOptions struct {
-	// Tenant is the owning tenant's name (the HTTP layer derives it
-	// from the bearer token; local callers may leave it empty).
-	Tenant string
-	// AutoMerge makes the registry merge the job server-side once its
-	// last slice arrives, writing artifacts under <namespace>/results.
-	// The legacy single-spec coordinator submits with AutoMerge off and
-	// merges in-process instead, exactly as before.
-	AutoMerge bool
 }
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -132,10 +120,10 @@ type job struct {
 	state     string
 	errMsg    string
 	dir       string // per-spec namespace: validated partials land here
-	outDir    string // server-side merge target (AutoMerge only)
-	autoMerge bool
+	outDir    string // server-side merge target: <dir>/results
 	created   time.Time
 	doneCh    chan struct{} // closed on entering a terminal state
+	reported  bool          // terminal state returned once by Job
 	steals    int
 	uploads   int
 }
@@ -164,11 +152,12 @@ type Registry struct {
 	rr        int    // fair-share cursor into order
 	leases    map[string]leaseRef
 	leaseSeq  int
-	executors map[string]time.Time
+	executors map[string]time.Time // last lease request per executor
 	start     time.Time
-	draining  bool
 	finished  bool
+	doneAt    time.Time // when finished was set
 	doneCh    chan struct{}
+	drainedCh chan struct{}
 
 	uploads, ignored, rejected, steals int
 }
@@ -217,30 +206,32 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		executors: make(map[string]time.Time),
 		start:     time.Now(),
 		doneCh:    make(chan struct{}),
+		drainedCh: make(chan struct{}),
 	}, nil
 }
 
-// Submit registers the spec bytes as a job. Idempotent: the same bytes
-// resolve to the same job ID and return the existing job. A spec that
-// fails to parse, build or plan is recorded as a failed job (so the
-// failure is visible in /jobs and /status) and returned with its State
-// set to JobFailed; the error return is reserved for the registry
-// refusing the submission outright (draining or drained).
-func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, error) {
+// Submit registers the spec bytes as a job owned by tenant (empty for
+// local callers), to be merged server-side into <namespace>/results.
+// Idempotent: the same bytes resolve to the same job ID and return the
+// existing job, even once DrainAfter jobs are registered and new specs
+// are refused with ErrDraining. A spec that fails to parse, build or
+// plan is recorded as a failed job (so the failure is visible in /jobs
+// and /status) and returned with its State set to JobFailed.
+func (r *Registry) Submit(specBytes []byte, tenant string) (*JobStatus, error) {
 	if len(specBytes) == 0 {
 		return nil, fmt.Errorf("fabric: empty spec")
 	}
 	id := JobID(specBytes)
 
 	r.mu.Lock()
-	if r.draining || r.finished {
-		r.mu.Unlock()
-		return nil, ErrDraining
-	}
 	if existing, ok := r.jobs[id]; ok {
 		st := r.jobStatusLocked(existing, false)
 		r.mu.Unlock()
 		return st, nil
+	}
+	if r.drainAfterReachedLocked() {
+		r.mu.Unlock()
+		return nil, ErrDraining
 	}
 	r.mu.Unlock()
 
@@ -250,27 +241,24 @@ func (r *Registry) Submit(specBytes []byte, opts SubmitOptions) (*JobStatus, err
 	j := &job{
 		id:        id,
 		digest:    SpecDigest(specBytes),
-		tenant:    opts.Tenant,
+		tenant:    tenant,
 		specBytes: specBytes,
 		state:     JobPending,
 		dir:       Namespace(r.cfg.Dir, specBytes),
-		autoMerge: opts.AutoMerge,
 		created:   time.Now(),
 		doneCh:    make(chan struct{}),
 	}
-	if opts.AutoMerge {
-		j.outDir = filepath.Join(j.dir, "results")
-	}
+	j.outDir = filepath.Join(j.dir, "results")
 	buildErr := r.buildJob(j)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.draining || r.finished {
-		return nil, ErrDraining
-	}
 	if existing, ok := r.jobs[id]; ok {
 		// A concurrent submission of the same bytes won the race.
 		return r.jobStatusLocked(existing, false), nil
+	}
+	if r.drainAfterReachedLocked() {
+		return nil, ErrDraining
 	}
 	r.jobs[id] = j
 	r.order = append(r.order, j)
@@ -451,9 +439,9 @@ func (r *Registry) advanceTask(j *job, t *task) {
 	}
 }
 
-// maybeCompleteLocked transitions a job whose every task has finished:
-// AutoMerge jobs enter merging and merge in a background goroutine;
-// others are done (the submitter merges). Must be called with mu held.
+// maybeCompleteLocked moves a job whose every task has finished into
+// merging and merges it in a background goroutine. Must be called with
+// mu held.
 func (r *Registry) maybeCompleteLocked(j *job) {
 	if j.state != JobPending && j.state != JobRunning {
 		return
@@ -463,10 +451,6 @@ func (r *Registry) maybeCompleteLocked(j *job) {
 			return
 		}
 	}
-	if !j.autoMerge {
-		r.finishJobLocked(j, JobDone, "")
-		return
-	}
 	j.state = JobMerging
 	r.log.Printf("fabric: job %s: all slices in; merging into %s", j.id, j.outDir)
 	go r.mergeJob(j)
@@ -475,10 +459,13 @@ func (r *Registry) maybeCompleteLocked(j *job) {
 // mergeJob is the server-side merge: fold every entry's partials into
 // the result an unpartitioned run would produce (bit-identically),
 // write the shared JSON/CSV artifacts under the job's results
-// directory, and check the spec's expectation bands. Runs without the
-// lock; only the final state transition takes it.
+// directory, and check the spec's expectation bands. Like a
+// single-process run, it writes every entry's artifacts and reports
+// every violated band; a merge or write error aborts at once. Runs
+// without the lock; only the final state transition takes it.
 func (r *Registry) mergeJob(j *job) {
 	err := func() error {
+		var violations []string
 		for _, b := range j.built {
 			cres, err := b.MergePartials(j.file, j.dir, nil)
 			if err != nil {
@@ -487,13 +474,12 @@ func (r *Registry) mergeJob(j *job) {
 			if err := b.WriteArtifacts(j.outDir, cres); err != nil {
 				return fmt.Errorf("%s: %w", b.Entry.Name, err)
 			}
-			var violations []string
 			for _, verr := range b.CheckExpectations(cres) {
 				violations = append(violations, verr.Error())
 			}
-			if len(violations) > 0 {
-				return fmt.Errorf("expectation failed: %s", strings.Join(violations, "; "))
-			}
+		}
+		if len(violations) > 0 {
+			return fmt.Errorf("expectation failed: %s", strings.Join(violations, "; "))
 		}
 		return nil
 	}()
@@ -557,25 +543,17 @@ func (r *Registry) Delete(id, tenant string) error {
 	return nil
 }
 
-// SetDraining tells the registry no further jobs are coming: new
-// submissions are refused, and once every job is terminal the registry
-// reports done to executors (draining the fleet) and closes Done.
-func (r *Registry) SetDraining(v bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.draining = v
-	r.checkFinishedLocked()
+// drainAfterReachedLocked is the one draining rule: DrainAfter jobs
+// are registered. Must be called with mu held.
+func (r *Registry) drainAfterReachedLocked() bool {
+	return r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter
 }
 
 // checkFinishedLocked closes the done channel once the registry is
-// draining (explicitly, or DrainAfter jobs have been seen) and every
-// job is terminal. Must be called with mu held.
+// draining and every job is terminal, and starts the drained
+// handshake. Must be called with mu held.
 func (r *Registry) checkFinishedLocked() {
-	if r.finished {
-		return
-	}
-	draining := r.draining || (r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter)
-	if !draining {
+	if r.finished || !r.drainAfterReachedLocked() {
 		return
 	}
 	for _, j := range r.order {
@@ -584,25 +562,75 @@ func (r *Registry) checkFinishedLocked() {
 		}
 	}
 	r.finished = true
+	r.doneAt = time.Now()
 	close(r.doneCh)
 	r.log.Printf("fabric: registry drained: %d job(s), %d uploads, %d steals, %s elapsed",
 		len(r.order), r.uploads, r.steals, time.Since(r.start).Round(time.Millisecond))
+	// The handshake's bound: one lease timeout after the finish, every
+	// executor seen before it has been silent that long.
+	time.AfterFunc(r.cfg.LeaseTimeout, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.closeDrainedLocked()
+	})
+	r.checkDrainedLocked()
+}
+
+// checkDrainedLocked closes the drained channel once every executor
+// has been told the registry is finished (every lease request since
+// doneAt was) or has been silent for a lease timeout, and every job's
+// terminal state has been read through Job. Must be called with mu
+// held.
+func (r *Registry) checkDrainedLocked() {
+	if !r.finished {
+		return
+	}
+	for _, at := range r.executors {
+		if at.Before(r.doneAt) && time.Since(at) < r.cfg.LeaseTimeout {
+			return
+		}
+	}
+	for _, j := range r.order {
+		if !j.reported {
+			return
+		}
+	}
+	r.closeDrainedLocked()
+}
+
+func (r *Registry) closeDrainedLocked() {
+	select {
+	case <-r.drainedCh:
+	default:
+		close(r.drainedCh)
+	}
 }
 
 // Done is closed once the registry is draining and every job reached a
-// terminal state — the moment a service process can exit.
+// terminal state: no more work will ever be offered.
 func (r *Registry) Done() <-chan struct{} { return r.doneCh }
+
+// Drained is closed once the registry is done, every executor that
+// asked for work has been told so (or went silent for a lease
+// timeout) and every job's terminal state has been returned by Job:
+// the moment a service can stop listening without cutting anyone off.
+func (r *Registry) Drained() <-chan struct{} { return r.drainedCh }
 
 // Dir returns the registry's work directory.
 func (r *Registry) Dir() string { return r.cfg.Dir }
 
-// Job returns one job's status snapshot.
+// Job returns one job's status snapshot; a terminal one counts as read
+// for the drained handshake.
 func (r *Registry) Job(id string) (*JobStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j, ok := r.jobs[id]
 	if !ok {
 		return nil, false
+	}
+	if jobTerminal(j.state) && !j.reported {
+		j.reported = true
+		r.checkDrainedLocked()
 	}
 	return r.jobStatusLocked(j, true), true
 }
@@ -624,13 +652,14 @@ func (r *Registry) JobDone(id string) (<-chan struct{}, bool) {
 // (or expired-and-stealable) slice. A nil reply means no grantable
 // work right now (HTTP 204).
 func (r *Registry) grantLease(executor string) *leaseReply {
-	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	now := time.Now() // under mu: a request at or after doneAt is told done
 	if executor != "" {
 		r.executors[executor] = now
 	}
 	if r.finished {
+		r.checkDrainedLocked()
 		return &leaseReply{Done: true}
 	}
 	// Live leased slices per owning tenant. Expired leases are excluded:
@@ -722,7 +751,7 @@ func (r *Registry) Status() Status {
 		StartUnixMS: r.start.UnixMilli(),
 		UptimeSec:   elapsed.Seconds(),
 		Done:        r.finished,
-		Draining:    r.draining || (r.cfg.DrainAfter > 0 && len(r.order) >= r.cfg.DrainAfter),
+		Draining:    r.drainAfterReachedLocked(),
 		Slices:      r.cfg.Slices,
 		LeaseMS:     r.cfg.LeaseTimeout.Milliseconds(),
 		Executors:   len(r.executors),

@@ -59,7 +59,12 @@ func TestRegistryMultiJobSharedPool(t *testing.T) {
 	if jobA.ID == jobB.ID {
 		t.Fatal("distinct specs mapped to one job ID")
 	}
-	// Idempotent resubmission: same bytes, same job, no duplicate.
+	// DrainAfter jobs are registered: a third distinct spec is refused
+	// with 409, while an idempotent resubmission of a registered spec
+	// still returns that job, with no duplicate.
+	if _, err := SubmitJob(nil, srv.URL, "", []byte(stopperDoc)); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Errorf("third spec past DrainAfter: %v, want a 409", err)
+	}
 	if again := postJobs(t, srv.URL, "", twoKindDoc); again.ID != jobA.ID {
 		t.Errorf("resubmission created a new job %s, want %s", again.ID, jobA.ID)
 	}
@@ -261,10 +266,10 @@ func TestRegistryQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Submit([]byte(twoKindDoc), SubmitOptions{Tenant: "alice", AutoMerge: true}); err != nil {
+	if _, err := reg.Submit([]byte(twoKindDoc), "alice"); err != nil {
 		t.Fatal(err)
 	}
-	stB, err := reg.Submit([]byte(secondDoc), SubmitOptions{Tenant: "bob", AutoMerge: true})
+	stB, err := reg.Submit([]byte(secondDoc), "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,5 +539,93 @@ func TestExecutorRejectedToken(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("bad-token executor retried instead of failing fast")
+	}
+}
+
+// TestRegistryMergeReportsEveryViolation: a job whose first entry
+// violates its expectation band still gets every entry's artifacts,
+// byte-identical to a single-process run, and fails naming the band.
+func TestRegistryMergeReportsEveryViolation(t *testing.T) {
+	doc := `{"seed": 3, "shard_size": 64, "scenarios": [
+	  {"name": "mission", "kind": "memsim",
+	   "params": {"duplex": true, "lambda_bit_per_hour": 6e-4,
+	              "lambda_symbol_per_hour": 2e-4, "horizon_hours": 24,
+	              "trials": 200},
+	   "expect": [{"counter": "capability_exceeded", "max_fraction": 0}]},
+	  {"name": "mbu", "kind": "mbusim",
+	   "params": {"events_per_kilobit": 4, "burst_bits": 6, "trials": 200}}]}`
+	r, srv, f, built, _ := startRegistry(t, doc, 2, time.Minute, nil)
+	runExecutors(t, srv.URL, 1)
+	waitDone(t, r)
+
+	st, _ := r.Job(JobID([]byte(doc)))
+	if st.State != JobFailed || !strings.Contains(st.Error, "mission") || !strings.Contains(st.Error, "above expected maximum") {
+		t.Errorf("job %s (%q), want failed naming the mission band", st.State, st.Error)
+	}
+	refDir := t.TempDir()
+	for _, b := range built {
+		res, err := campaign.Run(b.Scenario, b.EngineConfig(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteArtifacts(refDir, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"mission.json", "mission.csv", "mbu.json", "mbu.csv"} {
+		if _, err := os.Stat(filepath.Join(refDir, name)); err != nil {
+			t.Fatalf("reference run wrote no %s: %v", name, err)
+		}
+	}
+	compareTrees(t, refDir, st.OutDir)
+}
+
+// TestRegistryDrainedOutlastsVanishedExecutor: an executor that took
+// a lease and was never heard from again holds Drained open for one
+// lease timeout from its last contact, and no longer.
+func TestRegistryDrainedOutlastsVanishedExecutor(t *testing.T) {
+	const leaseTimeout = time.Second
+	doc := `{"seed": 3, "shard_size": 64, "scenarios": [
+	  {"name": "mission", "kind": "memsim",
+	   "params": {"lambda_bit_per_hour": 6e-4, "lambda_symbol_per_hour": 2e-4,
+	              "horizon_hours": 24, "trials": 128}}]}`
+	r, srv, f, built, _ := startRegistry(t, doc, 1, leaseTimeout, nil)
+	b := built[0]
+
+	// The vanishing executor leases the only slice and uploads it, then
+	// never asks for work again, so it is never told the registry is done.
+	contact := time.Now()
+	reply := r.grantLease("vanished")
+	if reply == nil || reply.Lease == nil {
+		t.Fatal("no lease granted")
+	}
+	plan, err := campaign.NewPlan(b.Scenario, 64, campaign.Whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.ParamsDigest = b.EngineConfig(f).ParamsDigest
+	partial, err := campaign.Execute(b.Scenario, plan, campaign.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := partial.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+pathUpload+"?lease="+reply.Lease.ID, "application/jsonl", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitDone(t, r)
+	if js, _ := r.Job(JobID([]byte(doc))); js.State != JobDone {
+		t.Fatalf("job %s (%s), want done", js.State, js.Error)
+	}
+	if isClosed(r.Drained()) && time.Since(contact) < leaseTimeout {
+		t.Fatal("Drained closed while the vanished executor was within its lease timeout")
+	}
+	waitClosed(t, r, r.Drained(), 10*leaseTimeout, "Drained open long after the vanished executor's lease timeout")
+	if waited := time.Since(contact); waited < leaseTimeout {
+		t.Errorf("Drained closed %s after the vanished executor's last contact, want at least %s", waited, leaseTimeout)
 	}
 }

@@ -97,23 +97,19 @@
 // workloads repeat arena-wide), so an erasure-only word completes by
 // evaluating cached roots with no Berlekamp-Massey iteration and no
 // Chien sweep. Outcomes are guaranteed word-for-word identical to
-// rs.Decoder.Decode (the equivalence property tests in internal/rs
-// enforce this across worker counts, and fixed-seed golden tests in
-// pagesim and memsim pin the simulators' outputs across the switch),
-// and the steady state allocates nothing. BatchDecoder.SetWorkers
-// shards large arenas across a persistent goroutine pool with
-// bit-identical results for any worker count, and
-// BatchDecoder.DecodeStream scrubs stores larger than memory chunk by
-// chunk through fill/emit callbacks with one reused sub-arena. On the
-// 1-core reference container the erasure-heavy RS(255,223) arena
-// decodes ~6.6x faster than the pre-cache batch path (5.7 -> ~38
-// MB/s) and the clean-arena screen holds >300 MB/s.
-// interleave.Codec.DecodeTo decodes each page as one depth-word arena
-// (with a split memo keeping per-stripe erasure lists stable across
-// scrub passes, and Codec.DecodeSequence streaming page sequences),
-// which pagesim inherits, and the memsim worker streams its scrub
-// arena the same way, so every Monte Carlo scrub loop rides the fast
-// path.
+// rs.Decoder.Decode (the equivalence property tests and FuzzDecode in
+// internal/rs enforce this, and fixed-seed golden tests in pagesim and
+// memsim pin the simulators' outputs across the switch), and the
+// steady state allocates nothing. On the 1-core reference container
+// the erasure-heavy RS(255,223) arena decodes ~6.6x faster than the
+// pre-cache batch path (5.7 -> ~38 MB/s) and the clean-arena screen
+// holds >300 MB/s. DecodeAll on a caller-owned arena is the one way
+// the simulators decode: pagesim keeps its page stripe-major (arena
+// word s is stripe s, with faults mapped to their slots through
+// interleave.Page.Locate as they strike) and corrects it in place, so
+// a scrub writes back by not copying; memsim decodes its one- or
+// two-word scrub arena the same way. Campaigns parallelise across
+// trials, so each decode is serial.
 //
 // # The campaign engine: plan, execute, merge
 //

@@ -9,10 +9,14 @@
 // The Page codec composes with internal/rs: data pages of depth*k
 // symbols are encoded into depth*n stored symbols laid out
 // codeword-interleaved (stored index i belongs to codeword i mod
-// depth).
+// depth). Page.Locate is the one place that permutation is written.
+// Encode and Decode go through it, and so does internal/pagesim, which
+// keeps its page as a stripe-major arena and corrects it in place with
+// rs.BatchDecoder.DecodeAll.
 package interleave
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/gf"
@@ -24,7 +28,14 @@ import (
 type Page struct {
 	code  *rs.Code
 	depth int
+	// loc is Locate's table, one entry per stored index: a lookup
+	// instead of a division, because pagesim maps every flipped bit
+	// through it.
+	loc []slot
 }
+
+// slot is one stored symbol's place in the stripes.
+type slot struct{ stripe, pos int32 }
 
 // New builds a page codec with the given interleaving depth.
 func New(code *rs.Code, depth int) (*Page, error) {
@@ -34,7 +45,11 @@ func New(code *rs.Code, depth int) (*Page, error) {
 	if depth <= 0 {
 		return nil, fmt.Errorf("interleave: nonpositive depth %d", depth)
 	}
-	return &Page{code: code, depth: depth}, nil
+	loc := make([]slot, depth*code.N())
+	for i := range loc {
+		loc[i] = slot{stripe: int32(i % depth), pos: int32(i / depth)}
+	}
+	return &Page{code: code, depth: depth, loc: loc}, nil
 }
 
 // Code returns the per-stripe Reed-Solomon code.
@@ -57,36 +72,43 @@ func (p *Page) StoredSymbols() int { return p.depth * p.code.N() }
 // stripe).
 func (p *Page) CorrectableBurst() int { return p.depth * p.code.T() }
 
+// Locate maps stored index i of the page (0..depth*n-1) to its stripe
+// and its position within that stripe's codeword: stored index
+// j*depth+s holds symbol j of stripe s. For a systematic code the
+// first depth*k stored symbols are the page payload in order, so
+// payload index i maps the same way. Encode and Decode permute through
+// it, and callers that keep a page as a stripe-major arena (word s at
+// offset s*n) address their faults with it.
+func (p *Page) Locate(i int) (stripe, pos int) {
+	l := p.loc[i]
+	return int(l.stripe), int(l.pos)
+}
+
 // Encode encodes a page of depth*k data symbols into a stored page of
 // depth*n symbols, codeword-interleaved. It allocates its result and
-// scratch per call; hot loops should hold a Codec and use EncodeTo.
+// its scratch per call and is safe for concurrent use.
 func (p *Page) Encode(data []gf.Elem) ([]gf.Elem, error) {
 	if len(data) != p.DataSymbols() {
 		return nil, fmt.Errorf("interleave: page data has %d symbols, want %d", len(data), p.DataSymbols())
 	}
+	n, k := p.code.N(), p.code.K()
+	arena := make([]gf.Elem, p.StoredSymbols())
+	for i, v := range data {
+		s, j := p.Locate(i)
+		arena[s*n+j] = v
+	}
+	for s := 0; s < p.depth; s++ {
+		word := arena[s*n : (s+1)*n]
+		if err := p.code.EncodeTo(word, word[:k]); err != nil {
+			return nil, err
+		}
+	}
 	stored := make([]gf.Elem, p.StoredSymbols())
-	stripeData := make([]gf.Elem, p.code.K())
-	stripeCW := make([]gf.Elem, p.code.N())
-	if err := p.encodeInto(stored, data, stripeData, stripeCW); err != nil {
-		return nil, err
+	for i := range stored {
+		s, j := p.Locate(i)
+		stored[i] = arena[s*n+j]
 	}
 	return stored, nil
-}
-
-// encodeInto runs the stripe loop with caller-owned scratch.
-func (p *Page) encodeInto(stored, data, stripeData, stripeCW []gf.Elem) error {
-	for s := 0; s < p.depth; s++ {
-		for j := 0; j < p.code.K(); j++ {
-			stripeData[j] = data[j*p.depth+s]
-		}
-		if err := p.code.EncodeTo(stripeCW, stripeData); err != nil {
-			return err
-		}
-		for j := 0; j < p.code.N(); j++ {
-			stored[j*p.depth+s] = stripeCW[j]
-		}
-	}
-	return nil
 }
 
 // DecodeResult reports a page decode.
@@ -105,252 +127,44 @@ type DecodeResult struct {
 // page (0..depth*n-1). Stripes that fail to decode are reported in
 // FailedStripes and contribute their received (uncorrected) data
 // symbols, mirroring a controller that flags but still returns the
-// page.
+// page. A malformed erasure list (a duplicate position, say) is an
+// error, not a failed stripe. Decode allocates per call and is safe
+// for concurrent use.
 func (p *Page) Decode(stored []gf.Elem, erasures []int) (*DecodeResult, error) {
 	if len(stored) != p.StoredSymbols() {
 		return nil, fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
 	}
+	n := p.code.N()
+	arena := make([]gf.Elem, p.StoredSymbols())
+	for i, v := range stored {
+		s, j := p.Locate(i)
+		arena[s*n+j] = v
+	}
 	perStripe := make([][]int, p.depth)
-	if err := p.splitErasures(perStripe, erasures); err != nil {
-		return nil, err
-	}
-	res := &DecodeResult{Data: make([]gf.Elem, p.DataSymbols())}
-	stripeCW := make([]gf.Elem, p.code.N())
-	if err := p.decodeInto(res, stored, perStripe, stripeCW, p.code.Decode); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// splitErasures validates stored-page erasure positions and appends
-// each to its stripe's list (lists are extended, not reset).
-func (p *Page) splitErasures(perStripe [][]int, erasures []int) error {
 	for _, e := range erasures {
 		if e < 0 || e >= p.StoredSymbols() {
-			return fmt.Errorf("interleave: erasure %d out of range [0,%d)", e, p.StoredSymbols())
+			return nil, fmt.Errorf("interleave: erasure %d out of range [0,%d)", e, p.StoredSymbols())
 		}
-		stripe := e % p.depth
-		perStripe[stripe] = append(perStripe[stripe], e/p.depth)
+		s, j := p.Locate(e)
+		perStripe[s] = append(perStripe[s], j)
 	}
-	return nil
-}
-
-// decodeInto runs the stripe loop into res with caller-owned scratch
-// and per-stripe decode function (the pooled Code.Decode wrapper or a
-// Codec's reusable workspace).
-func (p *Page) decodeInto(res *DecodeResult, stored []gf.Elem, perStripe [][]int, stripeCW []gf.Elem,
-	decode func([]gf.Elem, []int) (*rs.Result, error)) error {
+	res := &DecodeResult{Data: make([]gf.Elem, p.DataSymbols())}
 	for s := 0; s < p.depth; s++ {
-		for j := 0; j < p.code.N(); j++ {
-			stripeCW[j] = stored[j*p.depth+s]
-		}
-		dec, err := decode(stripeCW, perStripe[s])
-		if err != nil {
+		word := arena[s*n : (s+1)*n]
+		dec, err := p.code.Decode(word, perStripe[s])
+		switch {
+		case err == nil:
+			res.CorrectedSymbols += dec.Corrections
+			copy(word, dec.Codeword)
+		case errors.Is(err, rs.ErrUncorrectable):
 			res.FailedStripes = append(res.FailedStripes, s)
-			for j := 0; j < p.code.K(); j++ {
-				res.Data[j*p.depth+s] = stripeCW[j]
-			}
-			continue
-		}
-		res.CorrectedSymbols += dec.Corrections
-		for j := 0; j < p.code.K(); j++ {
-			res.Data[j*p.depth+s] = dec.Data[j]
+		default:
+			return nil, fmt.Errorf("interleave: stripe %d: %w", s, err)
 		}
 	}
-	return nil
-}
-
-// Codec is a reusable page encode/decode workspace: it owns the
-// stripe scratch, the per-stripe erasure lists, a deinterleaved word
-// arena and one rs.BatchDecoder, so steady-state page traffic (the
-// pagesim Monte Carlo, a controller model pushing millions of pages)
-// performs no per-page heap allocation, and pages whose stripes are
-// mostly clean decode at the batch syndrome-screen rate rather than
-// the full per-stripe decoder rate. A Codec is not safe for concurrent
-// use; campaigns hold one per worker goroutine.
-type Codec struct {
-	page       *Page
-	bdec       *rs.BatchDecoder
-	arena      []gf.Elem // depth words of n symbols, stride n
-	stripeData []gf.Elem
-	stripeCW   []gf.Elem
-	perStripe  [][]int
-
-	// Erasure-split memo: when a decode passes the same stored-page
-	// erasure list as the previous one (the located-column list of a
-	// scrub loop is stable between strikes), the per-stripe split is
-	// reused instead of rebuilt, keeping each stripe's list — contents
-	// *and* backing array — stable so the rs erasure-set cache resolves
-	// every stripe without rehashing new slices.
-	lastErs []int // copy of the list perStripe currently reflects
-	split   bool  // perStripe matches lastErs
-
-	seqRes DecodeResult // DecodeSequence's reused result
-}
-
-// NewCodec builds a reusable workspace for the page layout.
-func (p *Page) NewCodec() *Codec {
-	c := &Codec{
-		page:       p,
-		bdec:       p.code.NewBatchDecoder(),
-		arena:      make([]gf.Elem, p.depth*p.code.N()),
-		stripeData: make([]gf.Elem, p.code.K()),
-		stripeCW:   make([]gf.Elem, p.code.N()),
-		perStripe:  make([][]int, p.depth),
+	for i := range res.Data {
+		s, j := p.Locate(i)
+		res.Data[i] = arena[s*n+j]
 	}
-	for i := range c.perStripe {
-		c.perStripe[i] = make([]int, 0, p.code.N())
-	}
-	return c
-}
-
-// Page returns the layout the codec encodes and decodes.
-func (c *Codec) Page() *Page { return c.page }
-
-// SetWorkers forwards to the underlying rs.BatchDecoder: pages decode
-// with up to n goroutines across their stripes (bit-identical results
-// for any worker count; n <= 1 keeps the serial zero-allocation
-// path). Returns c for chaining; must not be called concurrently with
-// decoding.
-func (c *Codec) SetWorkers(n int) *Codec {
-	c.bdec.SetWorkers(n)
-	return c
-}
-
-// EncodeTo encodes a page of depth*k data symbols into the
-// caller-provided stored slice of depth*n symbols, allocation-free.
-func (c *Codec) EncodeTo(stored, data []gf.Elem) error {
-	p := c.page
-	if len(data) != p.DataSymbols() {
-		return fmt.Errorf("interleave: page data has %d symbols, want %d", len(data), p.DataSymbols())
-	}
-	if len(stored) != p.StoredSymbols() {
-		return fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
-	}
-	return p.encodeInto(stored, data, c.stripeData, c.stripeCW)
-}
-
-// DecodeTo decodes a stored page into res, recycling res's buffers
-// (Data and FailedStripes are resized in place, so the steady state
-// allocates nothing). The semantics match Page.Decode exactly —
-// rs.DecodeAll guarantees every stripe the outcome Decoder.Decode
-// would have produced — but the page is decoded as one word arena, so
-// healthy stripes cost only the batch syndrome screen and the full
-// decode pipeline runs just for the stripes that need it.
-func (c *Codec) DecodeTo(res *DecodeResult, stored []gf.Elem, erasures []int) error {
-	p := c.page
-	if len(stored) != p.StoredSymbols() {
-		return fmt.Errorf("interleave: stored page has %d symbols, want %d", len(stored), p.StoredSymbols())
-	}
-	if !c.split || !intsEq(erasures, c.lastErs) {
-		for s := range c.perStripe {
-			c.perStripe[s] = c.perStripe[s][:0]
-		}
-		c.split = false
-		if err := p.splitErasures(c.perStripe, erasures); err != nil {
-			return err
-		}
-		c.lastErs = append(c.lastErs[:0], erasures...)
-		c.split = true
-	}
-	if cap(res.Data) < p.DataSymbols() {
-		res.Data = make([]gf.Elem, p.DataSymbols())
-	}
-	res.Data = res.Data[:p.DataSymbols()]
-	res.CorrectedSymbols = 0
-	res.FailedStripes = res.FailedStripes[:0]
-
-	n, k, depth := p.code.N(), p.code.K(), p.depth
-	for s := 0; s < depth; s++ {
-		word := c.arena[s*n : (s+1)*n]
-		for j := 0; j < n; j++ {
-			word[j] = stored[j*depth+s]
-		}
-	}
-	// The per-stripe lists are not mutated until the next split, which
-	// satisfies the rs.Batch list-sharing contract for this call.
-	bres, err := c.bdec.DecodeAll(rs.Batch{Words: c.arena, Stride: n, Count: depth}, c.perStripe)
-	if err != nil {
-		return err
-	}
-	// Corrected stripes were repaired in the arena; failed stripes were
-	// left as received, which is exactly what the per-stripe path
-	// contributes for them.
-	for s := 0; s < depth; s++ {
-		if bres.Words[s].Err != nil {
-			res.FailedStripes = append(res.FailedStripes, s)
-		} else {
-			res.CorrectedSymbols += bres.Words[s].Corrections
-		}
-		word := c.arena[s*n:]
-		for j := 0; j < k; j++ {
-			res.Data[j*depth+s] = word[j]
-		}
-	}
-	return nil
-}
-
-// Codeword returns stripe s of the codec's word arena as the last
-// DecodeTo that returned nil left it: the corrected n-symbol codeword
-// if the stripe decoded, the received symbols if it is in
-// FailedStripes. Stored index j*depth+s of the page holds
-// Codeword(s)[j]. For a systematic code a decoded stripe equals the
-// encoding of its data, so a scrub can write it back without
-// re-encoding. The slice aliases the arena and is valid only until
-// the next decode on c.
-func (c *Codec) Codeword(s int) []gf.Elem {
-	n := c.page.code.N()
-	return c.arena[s*n : (s+1)*n : (s+1)*n]
-}
-
-// DecodeSequence decodes a stream of stored pages through the codec's
-// reusable workspace — the page-level form of rs.DecodeStream for
-// scrubbing a store page by page. fill is called before each page and
-// returns the next stored page plus its erasure positions (a nil page
-// ends the stream; a fill error aborts it); each page decodes exactly
-// as DecodeTo would, and emit (optional) observes the result, which is
-// valid only until the next page. A stable erasure list across pages
-// (the located-column list of a scrub pass) hits both the codec's
-// split memo and the rs erasure-set cache, so the steady state
-// allocates nothing. Returns the number of pages decoded.
-func (c *Codec) DecodeSequence(
-	fill func() (stored []gf.Elem, erasures []int, err error),
-	emit func(page int, res *DecodeResult) error,
-) (int, error) {
-	if fill == nil {
-		return 0, fmt.Errorf("interleave: DecodeSequence needs a fill callback")
-	}
-	pages := 0
-	for {
-		stored, ers, err := fill()
-		if err != nil {
-			return pages, fmt.Errorf("interleave: sequence fill after %d pages: %w", pages, err)
-		}
-		if stored == nil {
-			return pages, nil
-		}
-		if err := c.DecodeTo(&c.seqRes, stored, ers); err != nil {
-			return pages, fmt.Errorf("interleave: sequence page %d: %w", pages, err)
-		}
-		pages++
-		if emit != nil {
-			if err := emit(pages-1, &c.seqRes); err != nil {
-				return pages, fmt.Errorf("interleave: sequence emit at page %d: %w", pages-1, err)
-			}
-		}
-	}
-}
-
-// intsEq reports element-wise equality (order-sensitive, like the
-// split it memoizes).
-func intsEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
+	return res, nil
 }

@@ -16,8 +16,10 @@
 //
 // with an optional scrub discipline (periodic or exponential, via
 // internal/scrub) that decodes, corrects and rewrites the page
-// between events. The page is read once at the mission horizon and
-// the outcome classified per stripe and per page.
+// between events. The simulator keeps the page as the stripe arena the
+// decoder works on, so a scrub corrects it in place and the
+// correction is the rewrite. The page is read once at the mission
+// horizon and the outcome classified per stripe and per page.
 //
 // # Stuck-column detection and location
 //
@@ -74,6 +76,7 @@ package pagesim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/burstlen"
 	"repro/internal/campaign"
@@ -416,13 +419,15 @@ func (s *scenario) NewWorker() (campaign.Worker, error) {
 	return newWorker(s.cfg, s.dist, s.policy, s.page), nil
 }
 
-// worker owns the per-goroutine scratch of a page campaign: the
-// reusable page codec (whose DecodeTo runs each page through the rs
-// batch arena path, so healthy stripes cost only the syndrome
-// screen, and whose arena holds the corrected codewords scrub writes
-// back), the RNG (keyed per trial), the stored-page state and
-// every erasure buffer, so the steady state performs no per-trial
-// heap allocation.
+// worker owns the per-goroutine scratch of a page campaign. The page
+// lives in stripe-major form: arena word s (offset s*n) is stripe s,
+// and interleave.Page.Locate maps each stored index to its slot when a
+// fault strikes. Every decode is one rs.BatchDecoder.DecodeAll over the
+// arena, in place, so healthy stripes cost only the syndrome screen
+// and a scrub writes back by not copying. The worker also holds the
+// RNG (keyed per trial), the truth arena, the per-column fault state
+// and the per-stripe erasure lists, so the steady state performs no
+// per-trial heap allocation.
 type worker struct {
 	cfg    Config
 	dist   burstlen.Dist
@@ -432,27 +437,29 @@ type worker struct {
 	// depth*t symbols.
 	guaranteeBits int
 	page          *interleave.Page
-	codec         *interleave.Codec
+	n, m          int
+	bdec          *rs.BatchDecoder
 	rng           *campaign.TrialRNG
 	sched         scrub.Scheduler
 
-	data   []gf.Elem // page payload scratch
-	truth  []gf.Elem // ground-truth stored page
-	stored []gf.Elem // current stored page
+	truth []gf.Elem // encoded page as written, stripe-major
+	arena []gf.Elem // current page, stripe-major, decoded in place
 
-	stuck   []bool    // whole-symbol stuck-at flags (physical)
-	located []bool    // stuck columns known to the controller
-	strikeT []float64 // strike instant per stuck column (hours)
-	// erasures is the located-column list handed to every decode of the
-	// trial. It is rebuilt (in column order) only when a location event
-	// dirties it, so between strikes each scrub pass reuses the same
-	// list — contents and backing array — and the codec's erasure-split
-	// memo plus the rs erasure-set cache resolve the whole page without
-	// rebuilding locator state.
-	erasures []int
-	ersDirty bool   // erasures no longer reflects located
-	failed   []bool // per-stripe failed-decode scratch for scrub rewrites
-	res      interleave.DecodeResult
+	// Per-column state, indexed by stored index. cols lists the stuck
+	// columns in ascending stored-index order; stuckVal is the value a
+	// stuck column drives.
+	cols     []int
+	stuck    []bool    // whole-symbol stuck-at flags (physical)
+	located  []bool    // stuck columns known to the controller
+	strikeT  []float64 // strike instant per stuck column (hours)
+	stuckVal []gf.Elem
+	// ers holds each stripe's located positions, handed to every decode
+	// of the trial. The lists are rebuilt in place (in stored-index
+	// order) only when a location event dirties them, so between strikes
+	// each scrub pass passes the same lists and the rs erasure-set cache
+	// resolves them without rebuilding locator state.
+	ers      [][]int
+	ersDirty bool // ers no longer reflects located
 
 	// Per-trial location bookkeeping (reset by Trial).
 	unlocated    int // stuck columns the controller has not located yet
@@ -461,23 +468,29 @@ type worker struct {
 }
 
 func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interleave.Page) *worker {
-	m := page.Code().Field().M()
+	code := page.Code()
+	stored := page.StoredSymbols()
 	w := &worker{
 		cfg:           cfg,
 		dist:          dist,
 		policy:        policy,
-		guaranteeBits: (page.CorrectableBurst()-1)*m + 1,
+		guaranteeBits: (page.CorrectableBurst()-1)*code.Field().M() + 1,
 		page:          page,
-		codec:         page.NewCodec(),
+		n:             code.N(),
+		m:             code.Field().M(),
+		bdec:          code.NewBatchDecoder(),
 		rng:           campaign.NewTrialRNG(),
-		data:          make([]gf.Elem, page.DataSymbols()),
-		truth:         make([]gf.Elem, page.StoredSymbols()),
-		stored:        make([]gf.Elem, page.StoredSymbols()),
-		stuck:         make([]bool, page.StoredSymbols()),
-		located:       make([]bool, page.StoredSymbols()),
-		strikeT:       make([]float64, page.StoredSymbols()),
-		erasures:      make([]int, 0, page.StoredSymbols()),
-		failed:        make([]bool, page.Depth()),
+		truth:         make([]gf.Elem, stored),
+		arena:         make([]gf.Elem, stored),
+		cols:          make([]int, 0, stored),
+		stuck:         make([]bool, stored),
+		located:       make([]bool, stored),
+		strikeT:       make([]float64, stored),
+		stuckVal:      make([]gf.Elem, stored),
+		ers:           make([][]int, page.Depth()),
+	}
+	for s := range w.ers {
+		w.ers[s] = make([]int, 0, w.n)
 	}
 	w.sched = scrub.Never{}
 	if cfg.ScrubPeriod > 0 {
@@ -490,6 +503,12 @@ func newWorker(cfg Config, dist burstlen.Dist, policy detectPolicy, page *interl
 	return w
 }
 
+// slot returns the arena index of stored index i.
+func (w *worker) slot(i int) int {
+	s, j := w.page.Locate(i)
+	return s*w.n + j
+}
+
 // Trial implements campaign.Worker: one stored page from write to
 // final read, reproducible from the trial index alone.
 func (w *worker) Trial(trial int, acc *campaign.Acc) error {
@@ -497,22 +516,30 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 	w.rng.Key(cfg.Seed, trial)
 	rng := w.rng.Rand
 	page := w.page
-	m := page.Code().Field().M()
+	code := page.Code()
 	storedSymbols := page.StoredSymbols()
-	storedBits := storedSymbols * m
+	storedBits := storedSymbols * w.m
 
-	for i := range w.data {
-		w.data[i] = gf.Elem(rng.Intn(page.Code().Field().Size()))
+	// The payload is drawn in page order; payload index i is stored
+	// index i of a systematic page.
+	for i := 0; i < page.DataSymbols(); i++ {
+		w.truth[w.slot(i)] = gf.Elem(rng.Intn(code.Field().Size()))
 	}
-	if err := w.codec.EncodeTo(w.truth, w.data); err != nil {
-		return fmt.Errorf("pagesim: encode: %w", err)
+	for s := 0; s < page.Depth(); s++ {
+		word := w.truth[s*w.n : (s+1)*w.n]
+		if err := code.EncodeTo(word, word[:code.K()]); err != nil {
+			return fmt.Errorf("pagesim: encode: %w", err)
+		}
 	}
-	copy(w.stored, w.truth)
-	for i := range w.stuck {
-		w.stuck[i] = false
-		w.located[i] = false
+	copy(w.arena, w.truth)
+	for _, c := range w.cols {
+		w.stuck[c] = false
+		w.located[c] = false
 	}
-	w.erasures = w.erasures[:0]
+	w.cols = w.cols[:0]
+	for s := range w.ers {
+		w.ers[s] = w.ers[s][:0]
+	}
 	w.ersDirty = false
 	w.unlocated, w.trialLocated, w.unlocReads = 0, 0, 0
 
@@ -569,10 +596,12 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 			s := rng.Intn(storedSymbols)
 			// The stuck value is drawn even on a re-strike of an
 			// already-dead column, preserving the historical RNG stream.
-			v := gf.Elem(rng.Intn(page.Code().Field().Size()))
+			v := gf.Elem(rng.Intn(code.Field().Size()))
 			if !w.stuck[s] {
 				w.stuck[s] = true
 				w.strikeT[s] = t
+				i, _ := slices.BinarySearch(w.cols, s)
+				w.cols = slices.Insert(w.cols, i, s)
 				if w.policy == detImmediate {
 					w.located[s] = true
 					w.ersDirty = true
@@ -580,7 +609,8 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 					w.unlocated++
 				}
 			}
-			w.stored[s] = v
+			w.stuckVal[s] = v
+			w.arena[w.slot(s)] = v
 			cols++
 		}
 	}
@@ -611,21 +641,21 @@ func (w *worker) Trial(trial int, acc *campaign.Acc) error {
 		w.locateByLatency(cfg.Horizon, trial, acc)
 	}
 	w.noteUnlocatedRead()
-	if err := w.decode(); err != nil {
+	res, err := w.decode()
+	if err != nil {
 		return err
 	}
-	acc.Add(CounterCorrectedSymbols, int64(w.res.CorrectedSymbols))
-	acc.Add(CounterFailedStripes, int64(len(w.res.FailedStripes)))
-	lost := len(w.res.FailedStripes) > 0
-	silent := false
-	if !lost {
-		for i := range w.data {
-			if w.res.Data[i] != w.data[i] {
-				lost, silent = true, true
-				break
-			}
-		}
+	corrected := 0
+	for _, r := range res.Words {
+		corrected += r.Corrections
 	}
+	acc.Add(CounterCorrectedSymbols, int64(corrected))
+	acc.Add(CounterFailedStripes, int64(res.Failed))
+	// Every stripe that decoded is a codeword, so it matches the truth
+	// exactly when its payload does.
+	lost := res.Failed > 0
+	silent := !lost && !slices.Equal(w.arena, w.truth)
+	lost = lost || silent
 	// Under a variable-length distribution, only within-guarantee
 	// bursts feed the single-burst counters (see the counter docs);
 	// the fixed distribution keeps the historical any-length meaning.
@@ -678,8 +708,8 @@ func (w *worker) locateByLatency(t float64, trial int, acc *campaign.Acc) {
 	if w.unlocated == 0 {
 		return
 	}
-	for s := range w.stuck {
-		if w.stuck[s] && !w.located[s] && w.strikeT[s]+w.cfg.DetectionLatency <= t {
+	for _, s := range w.cols {
+		if !w.located[s] && w.strikeT[s]+w.cfg.DetectionLatency <= t {
 			w.locate(s, w.cfg.DetectionLatency, trial, acc)
 		}
 	}
@@ -696,53 +726,54 @@ func (w *worker) noteUnlocatedRead() {
 // flipBit applies an SEU to one stored bit; stuck symbols do not
 // respond (the column drives the line).
 func (w *worker) flipBit(bit int) {
-	m := w.page.Code().Field().M()
-	s := bit / m
+	s := bit / w.m
 	if w.stuck[s] {
 		return
 	}
-	w.stored[s] ^= 1 << uint(bit%m)
+	w.arena[w.slot(s)] ^= 1 << uint(bit%w.m)
 }
 
-// decode runs the page decoder on the stored page (DecodeTo never
-// mutates its input) with the located stuck columns as erasures, into
-// w.res. Stuck columns the controller has not located yet are plain
-// errors: they consume twice the correction budget and can
-// miscorrect, which is exactly the located/unlocated asymmetry the
-// detection policies model. The erasure list is rebuilt (in column
-// order, so its contents are exactly what the per-decode rebuild
-// produced) only when a location event has dirtied it; the common
-// scrub pass between strikes reuses the previous list unchanged.
-func (w *worker) decode() error {
+// decode corrects the arena in place with the located stuck columns as
+// erasures: a decoded stripe becomes its corrected codeword and a
+// failed one stays as read. Stuck columns the controller has not
+// located yet are plain errors: they consume twice the correction
+// budget and can miscorrect, which is exactly the located/unlocated
+// asymmetry the detection policies model. The erasure lists are
+// rebuilt only when a location event has dirtied them.
+func (w *worker) decode() (*rs.BatchResult, error) {
 	if w.ersDirty {
-		w.erasures = w.erasures[:0]
-		for s, loc := range w.located {
-			if loc {
-				w.erasures = append(w.erasures, s)
+		for s := range w.ers {
+			w.ers[s] = w.ers[s][:0]
+		}
+		for _, c := range w.cols {
+			if w.located[c] {
+				s, j := w.page.Locate(c)
+				w.ers[s] = append(w.ers[s], j)
 			}
 		}
 		w.ersDirty = false
 	}
-	if err := w.codec.DecodeTo(&w.res, w.stored, w.erasures); err != nil {
-		return fmt.Errorf("pagesim: decode: %w", err)
+	res, err := w.bdec.DecodeAll(rs.Batch{Words: w.arena, Stride: w.n, Count: w.page.Depth()}, w.ers)
+	if err != nil {
+		return nil, fmt.Errorf("pagesim: decode: %w", err)
 	}
-	return nil
+	return res, nil
 }
 
-// doScrub decodes, corrects and rewrites the page at time t, writing
-// back the corrected codewords the decode left in the codec's arena
-// (for a systematic code they equal the re-encoded data, so no encode
-// runs here). Stripes that fail to decode are left untouched (the
-// controller has nothing better to write back); stuck columns
-// reassert themselves through the rewrite. Under the scrub detection policy, an unlocated stuck
-// column whose symbol the (successful) decode corrected has been
-// observed deviating and becomes located for every later decode.
+// doScrub decodes the page at time t in place, which is the rewrite:
+// decoded stripes now hold their corrected codewords (for a systematic
+// code, the re-encoded data) and failed stripes are left untouched, as
+// a controller with nothing better to write back would. Stuck columns
+// then reassert themselves. Under the scrub detection policy, an
+// unlocated stuck column whose symbol the decode corrected has been
+// observed deviating and becomes located for every later decode; a
+// failed stripe changed nothing, so it locates nothing.
 func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 	if w.policy == detLatency {
 		w.locateByLatency(t, trial, acc)
 	}
 	w.noteUnlocatedRead()
-	if err := w.decode(); err != nil {
+	if _, err := w.decode(); err != nil {
 		// Structural decode failures are impossible for a validated
 		// config; count them (the pass did not complete, so it is not a
 		// scrub_op) instead of silently swallowing the error — a
@@ -751,31 +782,14 @@ func (w *worker) doScrub(t float64, trial int, acc *campaign.Acc) {
 		return
 	}
 	acc.Add(CounterScrubOps, 1)
-	depth := w.page.Depth()
-	for s := range w.failed {
-		w.failed[s] = false
-	}
-	for _, s := range w.res.FailedStripes {
-		w.failed[s] = true
-	}
 	// Ascending stored-index order keeps the time_to_location samples
 	// that locate appends in a fixed order.
-	for idx := range w.stored {
-		s := idx % depth
-		if w.failed[s] {
-			continue
+	for _, c := range w.cols {
+		slot := w.slot(c)
+		if w.policy == detScrub && !w.located[c] && w.arena[slot] != w.stuckVal[c] {
+			w.locate(c, t-w.strikeT[c], trial, acc)
 		}
-		sym := w.codec.Codeword(s)[idx/depth]
-		if w.stuck[idx] {
-			// The dead column reasserts itself through the rewrite; if
-			// the corrected codeword disagrees with what it drives, the
-			// controller has observed the deviation.
-			if w.policy == detScrub && !w.located[idx] && w.stored[idx] != sym {
-				w.locate(idx, t-w.strikeT[idx], trial, acc)
-			}
-			continue
-		}
-		w.stored[idx] = sym
+		w.arena[slot] = w.stuckVal[c]
 	}
 }
 

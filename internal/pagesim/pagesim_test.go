@@ -662,10 +662,10 @@ func TestScrubDecodeErrorCounted(t *testing.T) {
 	}
 	w := cw.(*worker)
 	acc := campaign.NewAcc()
-	// Truncating the stored page makes the decode fail structurally —
-	// the only failure class DecodeTo reports as an error (capability
+	// Truncating the arena makes the decode fail structurally —
+	// the only failure class DecodeAll reports as an error (capability
 	// overflow lands in FailedStripes instead).
-	w.stored = w.stored[:len(w.stored)-1]
+	w.arena = w.arena[:len(w.arena)-1]
 	w.doScrub(1, 0, acc)
 	if got := acc.Counter(CounterScrubDecodeErrors); got != 1 {
 		t.Errorf("scrub_decode_errors = %d, want 1", got)
@@ -743,5 +743,36 @@ func TestBatchGoldenOutputs(t *testing.T) {
 		if got != tc.digest || !reflect.DeepEqual(cres.Counters, tc.counters) {
 			t.Errorf("%s: golden mismatch\ndigest   %q\ncounters %#v", tc.name, got, cres.Counters)
 		}
+	}
+}
+
+// TestTrialZeroAllocs pins the steady state of the in-place page
+// decode: once a worker has run a set of trials, running them again
+// (SEUs, bursts, stuck columns located as erasures, scrub rewrites and
+// the final read) allocates nothing.
+func TestTrialZeroAllocs(t *testing.T) {
+	cfg := mixedConfig()
+	cfg.LambdaColumn *= 4 // several located columns per page
+	scn := mustScenario(t, cfg)
+	cw, err := scn.NewWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := campaign.NewAcc()
+	const trials = 64
+	allocs := testing.AllocsPerRun(20, func() {
+		for trial := 0; trial < trials; trial++ {
+			if err := cw.Trial(trial, acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for _, c := range []string{CounterBursts, CounterStuckColumns, CounterScrubOps, CounterCorrectedSymbols, CounterFailedStripes} {
+		if acc.Counter(c) == 0 {
+			t.Errorf("%s never exercised", c)
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("steady-state trials allocate %.1f times per %d trials", allocs, trials)
 	}
 }

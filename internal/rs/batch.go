@@ -2,8 +2,6 @@ package rs
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/gf"
 )
@@ -84,10 +82,10 @@ func (c *Code) batchSyndromeTable() *batchTable {
 // alignment padding) that decoding never reads or writes; Stride == n
 // is the dense layout.
 //
-// List-sharing contract: the erasure lists passed alongside a Batch
-// (to DecodeAll or through DecodeStream) may be nil, distinct, or the
-// very same slice shared by many words — sharing is encouraged, it is
-// what the erasure-set cache is built for. The lists must not be
+// List-sharing contract: the erasure lists passed to DecodeAll
+// alongside a Batch may be nil, distinct, or the very same slice
+// shared by many words — sharing is encouraged, it is what the
+// erasure-set cache is built for. The lists must not be
 // mutated while the call runs, and a caller that reuses a list's
 // backing array across calls may change its *contents* freely between
 // calls: the cache keys on content, never on pointer identity across
@@ -121,68 +119,17 @@ type BatchResult struct {
 	Clean, Corrected, Failed int
 }
 
-// batchLane is one worker's private slice of the BatchDecoder
-// workspace: a Decoder, the packed-syndrome accumulator the screen
-// writes, an erasure-set cache, and the shard tallies the join sums.
-type batchLane struct {
+// BatchDecoder is a reusable workspace for decoding whole word arenas:
+// a Decoder, the packed-syndrome accumulator the screen writes and an
+// erasure-set cache. Like Decoder it is NOT safe for concurrent use
+// (hold one per goroutine) and its BatchResult is valid only until the
+// next call. The packed syndrome table it screens with lives on the
+// Code and is shared by every BatchDecoder of that code.
+type BatchDecoder struct {
 	dec   *Decoder
 	acc   []uint64 // generic-width syndrome accumulator
 	cache erasureCache
-
-	clean, corrected, failed int
-}
-
-func newBatchLane(c *Code, pw int) *batchLane {
-	return &batchLane{
-		dec:   c.NewDecoder(),
-		acc:   make([]uint64, pw),
-		cache: newErasureCache(c),
-	}
-}
-
-// BatchDecoder is a reusable workspace for decoding whole word arenas.
-// Like Decoder it is NOT safe for concurrent use (hold one per
-// goroutine — its own SetWorkers goroutines are internal and scoped to
-// a call) and its BatchResult is valid only until the next call. The
-// packed syndrome table it screens with lives on the Code and is
-// shared by every BatchDecoder of that code.
-type BatchDecoder struct {
-	c       *Code
-	workers int
-	lanes   []*batchLane
-	res     BatchResult
-
-	// Parallel decode plumbing (nil/zero until SetWorkers(>1)): shards
-	// are handed to persistent worker goroutines over work, so a
-	// parallel DecodeAll costs channel handoffs, not goroutine spawns,
-	// and allocates nothing. Workers hold only the channel — never the
-	// BatchDecoder — so the finalizer installed by SetWorkers can close
-	// the channel and wind them down once the decoder is unreachable.
-	work    chan batchShard
-	wg      sync.WaitGroup
-	spawned int
-}
-
-// batchShard is one contiguous word range of a parallel DecodeAll,
-// handed to a persistent worker by value over the work channel.
-type batchShard struct {
-	lane   *batchLane
-	bt     *batchTable
-	b      Batch
-	ers    [][]int
-	lo, hi int
-	out    []WordResult
-	wg     *sync.WaitGroup
-}
-
-// batchWorker drains shards until the work channel closes. It is a
-// free function on purpose: holding bd here would keep the decoder
-// reachable forever and defeat its finalizer.
-func batchWorker(work <-chan batchShard) {
-	for sh := range work {
-		sh.lane.decodeRange(sh.bt, sh.b, sh.ers, sh.lo, sh.hi, sh.out)
-		sh.wg.Done()
-	}
+	res   BatchResult
 }
 
 // NewBatchDecoder returns a fresh arena-decoding workspace for c,
@@ -190,50 +137,14 @@ func batchWorker(work <-chan batchShard) {
 func (c *Code) NewBatchDecoder() *BatchDecoder {
 	bt := c.batchSyndromeTable()
 	return &BatchDecoder{
-		c:       c,
-		workers: 1,
-		lanes:   []*batchLane{newBatchLane(c, bt.pw)},
+		dec:   c.NewDecoder(),
+		acc:   make([]uint64, bt.pw),
+		cache: newErasureCache(c),
 	}
 }
 
 // Code returns the code this workspace decodes.
-func (bd *BatchDecoder) Code() *Code { return bd.c }
-
-// SetWorkers sets how many goroutines DecodeAll (and DecodeStream,
-// which decodes through it) may use per arena. Words are disjoint and
-// corrected in place, so the arena shards into contiguous word ranges
-// — one per worker, the internal/campaign discipline — and the
-// results are bit-identical for every worker count. n <= 1 keeps the
-// serial path, which spawns no goroutines and preserves the
-// zero-allocation steady state; each extra worker owns a private
-// Decoder, screen accumulator and erasure-set cache. SetWorkers
-// returns bd for chaining and must not be called concurrently with
-// decoding.
-func (bd *BatchDecoder) SetWorkers(n int) *BatchDecoder {
-	if n < 1 {
-		n = 1
-	}
-	bd.workers = n
-	bt := bd.c.batchSyndromeTable()
-	for len(bd.lanes) < n {
-		bd.lanes = append(bd.lanes, newBatchLane(bd.c, bt.pw))
-	}
-	if n > 1 && bd.work == nil {
-		bd.work = make(chan batchShard)
-		// The workers outlive every call but not the decoder: they see
-		// only the channel, so once bd is unreachable the finalizer
-		// closes it and the pool exits.
-		runtime.SetFinalizer(bd, func(bd *BatchDecoder) { close(bd.work) })
-	}
-	for bd.spawned < n-1 {
-		go batchWorker(bd.work)
-		bd.spawned++
-	}
-	return bd
-}
-
-// Workers returns the configured worker count.
-func (bd *BatchDecoder) Workers() int { return bd.workers }
+func (bd *BatchDecoder) Code() *Code { return bd.dec.c }
 
 // DecodeAll decodes every word of the arena, correcting successful
 // words in place (a failed word is left exactly as received, like a
@@ -242,21 +153,20 @@ func (bd *BatchDecoder) Workers() int { return bd.workers }
 // or shared between words — see the list-sharing contract on Batch);
 // each word's outcome — corrected symbols, acceptance, error
 // classification — is identical to what Decoder.Decode would have
-// produced for that word and its list, for any worker count.
+// produced for that word and its list.
 //
 // DecodeAll screens every word with the packed syndrome fold; clean
 // words never leave the screen, and dirty words hand the folded
 // syndromes straight to the shared decode back half instead of
 // recomputing them (the screen's byte lanes *are* the syndromes).
-// Words resolve their erasure set through a small per-worker cache of
+// Words resolve their erasure set through a small cache of
 // erasure-locator setups, so an arena sharing one located-column set
 // pays the front end once. The returned BatchResult aliases the
-// workspace; the steady state of repeated same-shape serial calls
-// performs no heap allocation (an invalid erasure list allocates its
-// error once per cached set, an out-of-range symbol once per word).
+// workspace; the steady state of repeated same-shape calls performs no
+// heap allocation (an invalid erasure list allocates its error once
+// per cached set, an out-of-range symbol once per word).
 func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, error) {
-	c := bd.c
-	n := c.n
+	n := bd.dec.c.n
 	switch {
 	case b.Count < 0:
 		return nil, fmt.Errorf("rs: negative batch count %d", b.Count)
@@ -276,66 +186,26 @@ func (bd *BatchDecoder) DecodeAll(b Batch, erasures [][]int) (*BatchResult, erro
 		res.Words = res.Words[:b.Count]
 	}
 	res.Clean, res.Corrected, res.Failed = 0, 0, 0
-	bt := c.batchSyndromeTable()
-
-	nw := bd.workers
-	if nw > b.Count {
-		nw = b.Count
-	}
-	if nw <= 1 {
-		lane := bd.lanes[0]
-		lane.decodeRange(bt, b, erasures, 0, b.Count, res.Words)
-		res.Clean, res.Corrected, res.Failed = lane.clean, lane.corrected, lane.failed
-		return res, nil
-	}
-	// Contiguous shards, one per worker: shards 1..nw-1 go to the
-	// persistent pool, shard 0 decodes on the calling goroutine.
-	bd.wg.Add(nw - 1)
-	for i := 1; i < nw; i++ {
-		bd.work <- batchShard{
-			lane: bd.lanes[i],
-			bt:   bt,
-			b:    b,
-			ers:  erasures,
-			lo:   i * b.Count / nw,
-			hi:   (i + 1) * b.Count / nw,
-			out:  res.Words,
-			wg:   &bd.wg,
-		}
-	}
-	bd.lanes[0].decodeRange(bt, b, erasures, 0, b.Count/nw, res.Words)
-	bd.wg.Wait()
-	for i := 0; i < nw; i++ {
-		res.Clean += bd.lanes[i].clean
-		res.Corrected += bd.lanes[i].corrected
-		res.Failed += bd.lanes[i].failed
-	}
-	return res, nil
-}
-
-// decodeRange decodes the contiguous word range [lo,hi) into out,
-// leaving the shard tallies on the lane for the caller to sum.
-func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, lo, hi int, out []WordResult) {
-	l.clean, l.corrected, l.failed = 0, 0, 0
-	l.cache.resetMemo()
-	n := l.dec.c.n
-	for w := lo; w < hi; w++ {
+	bt := bd.dec.c.batchSyndromeTable()
+	bd.cache.resetMemo()
+	for w := range res.Words {
 		word := b.Words[w*b.Stride : w*b.Stride+n : w*b.Stride+n]
 		var ers []int
 		if erasures != nil {
 			ers = erasures[w]
 		}
-		r := l.decodeWord(bt, word, ers)
-		out[w] = r
+		r := bd.decodeWord(bt, word, ers)
+		res.Words[w] = r
 		switch {
 		case r.Err != nil:
-			l.failed++
+			res.Failed++
 		case r.Corrections > 0:
-			l.corrected++
+			res.Corrected++
 		default:
-			l.clean++
+			res.Clean++
 		}
 	}
+	return res, nil
 }
 
 // decodeWord decodes one arena word, correcting it in place on
@@ -343,22 +213,22 @@ func (l *batchLane) decodeRange(bt *batchTable, b Batch, erasures [][]int, lo, h
 // order exactly: invalid symbols (caught by the screen's OR check)
 // are reported before erasure-list errors, which precede any
 // syndrome-dependent outcome.
-func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordResult {
+func (bd *BatchDecoder) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordResult {
 	if bt.tab == nil {
 		// No packed table (m > 8 or the table outgrew its cap): the
 		// per-word pipeline owns everything.
-		return l.fullDecode(word, ers)
+		return bd.fullDecode(word, ers)
 	}
-	dirty, valid := l.screen(bt, word)
+	dirty, valid := bd.screen(bt, word)
 	if !valid {
 		// Out-of-range symbol: route the whole word to the per-word
 		// pipeline, which rejects it with the exact Decoder.Decode
 		// error before looking at the erasure list.
-		return l.fullDecode(word, ers)
+		return bd.fullDecode(word, ers)
 	}
-	ent := &l.cache.none
+	ent := &bd.cache.none
 	if len(ers) > 0 {
-		ent = l.cache.get(ers)
+		ent = bd.cache.get(ers)
 		if ent.err != nil {
 			return WordResult{Err: ent.err}
 		}
@@ -370,18 +240,18 @@ func (l *batchLane) decodeWord(bt *batchTable, word []gf.Elem, ers []int) WordRe
 	// syndromes; unpack them into the decoder register and enter the
 	// shared back half with the cached erasure locator, so the word
 	// never recomputes the O(n*d) Horner pass the screen just paid for.
-	syn := l.dec.syn
+	syn := bd.dec.syn
 	for j := range syn {
-		syn[j] = gf.Elem(l.acc[j>>3] >> (8 * (j & 7)) & 0xff)
+		syn[j] = gf.Elem(bd.acc[j>>3] >> (8 * (j & 7)) & 0xff)
 	}
-	res, err := l.dec.correct(word, ent.gamma, len(ent.positions), ent.roots)
+	res, err := bd.dec.correct(word, ent.gamma, len(ent.positions), ent.roots)
 	return writeBack(word, res, err)
 }
 
 // fullDecode runs the unabridged per-word pipeline (validation,
 // Horner syndromes and all) and applies the correction in place.
-func (l *batchLane) fullDecode(word []gf.Elem, ers []int) WordResult {
-	res, err := l.dec.Decode(word, ers)
+func (bd *BatchDecoder) fullDecode(word []gf.Elem, ers []int) WordResult {
+	res, err := bd.dec.Decode(word, ers)
 	return writeBack(word, res, err)
 }
 
@@ -395,15 +265,15 @@ func writeBack(word []gf.Elem, res *Result, err error) WordResult {
 	return WordResult{Corrections: res.Corrections}
 }
 
-// screen folds the word's packed syndrome contributions into the lane
+// screen folds the word's packed syndrome contributions into the
 // accumulator and OR-validates its symbols in one pass. dirty reports
-// nonzero syndromes (l.acc then holds the packed lanes, ready to
+// nonzero syndromes (bd.acc then holds the packed lanes, ready to
 // unpack); valid reports every symbol in field range. An invalid word
 // folds garbage through the masked table index — harmlessly, because
 // the caller routes !valid words to the per-word path, which rejects
 // them with the exact Decoder.Decode error.
-func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
-	size := l.dec.c.f.Size()
+func (bd *BatchDecoder) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
+	size := bd.dec.c.f.Size()
 	mask := gf.Elem(size - 1)
 	var or gf.Elem
 	switch bt.pw {
@@ -415,7 +285,7 @@ func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
 			a0 ^= tab[base+int(s&mask)]
 			base += size
 		}
-		l.acc[0] = a0
+		bd.acc[0] = a0
 		dirty = a0 != 0
 	case 4: // 25 <= d <= 32: RS(255,223)
 		var a0, a1, a2, a3 uint64
@@ -430,10 +300,10 @@ func (l *batchLane) screen(bt *batchTable, word []gf.Elem) (dirty, valid bool) {
 			a3 ^= row[3]
 			base += size * 4
 		}
-		l.acc[0], l.acc[1], l.acc[2], l.acc[3] = a0, a1, a2, a3
+		bd.acc[0], bd.acc[1], bd.acc[2], bd.acc[3] = a0, a1, a2, a3
 		dirty = a0|a1|a2|a3 != 0
 	default:
-		acc := l.acc[:bt.pw]
+		acc := bd.acc[:bt.pw]
 		for q := range acc {
 			acc[q] = 0
 		}

@@ -6,9 +6,9 @@ import "repro/internal/gf"
 // decode layer. The erasure locator Gamma(x) and its Chien/Forney
 // setup depend only on the *set* of erased positions — not on the word
 // being decoded — and the scrub workloads this package serves repeat
-// position sets heavily: pagesim passes one located-column set for a
-// whole page arena, memsim's duplex pair shares one list, interleave's
-// per-stripe split is stable across scrub passes. Caching that setup
+// position sets heavily: pagesim keeps each stripe's located-column
+// list stable across scrub passes, and memsim's duplex pair shares one
+// list. Caching that setup
 // per position set turns the per-word erasure cost from "rebuild
 // Gamma, run Berlekamp-Massey, sweep Chien over n positions" into
 // "evaluate Omega at rho precomputed roots".
@@ -28,12 +28,12 @@ import "repro/internal/gf"
 // case (every word a distinct set, all colliding) degrades to the
 // build-per-word cost, never worse than uncached.
 
-// erasureCacheBuckets sizes the per-lane direct-mapped table (power of
-// two). Scrub arenas carry from one shared set up to one set per word;
-// 512 buckets keeps an arena of 64 distinct sets essentially
+// erasureCacheBuckets sizes the per-decoder direct-mapped table (power
+// of two). Scrub arenas carry from one shared set up to one set per
+// word; 512 buckets keeps an arena of 64 distinct sets essentially
 // collision-free (expected colliding pairs ~2) while bounding the
-// lane's memory — entries are built lazily, so unused buckets cost one
-// nil pointer each.
+// decoder's memory — entries are built lazily, so unused buckets cost
+// one nil pointer each.
 const erasureCacheBuckets = 512
 
 // erasureRoot precomputes the fused Chien/Forney state at one root of
@@ -66,8 +66,8 @@ type erasureEntry struct {
 	roots     []erasureRoot
 }
 
-// erasureCache is the per-lane (hence single-goroutine) direct-mapped
-// cache of erasure-set entries.
+// erasureCache is the per-BatchDecoder (hence single-goroutine)
+// direct-mapped cache of erasure-set entries.
 type erasureCache struct {
 	c       *Code
 	buckets [erasureCacheBuckets]*erasureEntry

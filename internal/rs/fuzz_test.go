@@ -66,7 +66,10 @@ func sameFailure(a, b error) bool {
 //  2. a one-word BatchDecoder.DecodeAll, in an arena of stride n+2,
 //     reaches the same outcome — the same corrected word, or the same
 //     error by reason and message with the word left as received — and
-//     never touches the headroom;
+//     never touches the headroom; its Corrections is the number of
+//     arena symbols the call changed, so an erasure whose received
+//     symbol was already right counts zero (an in-place scrub relies
+//     on this: no failure and no corrections means an unchanged arena);
 //  3. the Euclidean oracle accepts and rejects the same words and
 //     returns the same codeword.
 func FuzzDecode(f *testing.F) {
@@ -82,6 +85,8 @@ func FuzzDecode(f *testing.F) {
 		[]byte{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 36, 34})
 	// n-k+1 = 3 erasures on RS(18,16).
 	f.Add(uint8(0), data, []byte{4, 0x5a}, []byte{1, 5, 9})
+	// Two erasures on RS(18,16) whose received symbols are right.
+	f.Add(uint8(0), data, []byte(nil), []byte{2, 9})
 	// Duplicate erasure.
 	f.Add(uint8(0), data, []byte{4, 0x5a}, []byte{6, 6})
 	// Out-of-range symbol on the GF(2^4) code.
@@ -144,6 +149,15 @@ func FuzzDecode(f *testing.F) {
 			if !equalElems(arena[:n], res.Codeword) || wr.Corrections != res.Corrections {
 				t.Fatalf("DecodeAll corrected to %v (%d), Decode to %v (%d)",
 					arena[:n], wr.Corrections, res.Codeword, res.Corrections)
+			}
+			changed := 0
+			for i := range word {
+				if arena[i] != word[i] {
+					changed++
+				}
+			}
+			if wr.Corrections != changed {
+				t.Fatalf("DecodeAll reports %d corrections, changed %d arena symbols", wr.Corrections, changed)
 			}
 		}
 

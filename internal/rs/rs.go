@@ -80,12 +80,10 @@
 // between words (see Batch); sharing one list arena-wide is the fast
 // path.
 //
-// DecodeAll is serial by default; BatchDecoder.SetWorkers shards the
-// arena into contiguous word ranges decoded by a persistent worker
-// pool, with results bit-identical for every worker count. For stores
-// larger than memory, BatchDecoder.DecodeStream scrubs an unbounded
-// word sequence chunk by chunk through caller fill/emit callbacks,
-// reusing one sub-arena (see its chunk contract).
+// DecodeAll is serial: callers parallelise across arenas (the
+// campaign engine runs one BatchDecoder per worker goroutine), and a
+// store larger than memory is scrubbed by calling DecodeAll on one
+// reused sub-arena per chunk.
 //
 // A BatchDecoder from Code.NewBatchDecoder owns its scratch like a
 // Decoder does (one per goroutine, results valid until the next call)

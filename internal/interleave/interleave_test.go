@@ -307,6 +307,109 @@ func TestFailedStripeStillReturnsOtherStripes(t *testing.T) {
 	}
 }
 
+// stripeArena lays a page payload out stripe-major through Locate
+// (word s at offset s*n) and encodes each stripe in place — the page
+// layout internal/pagesim corrects with rs.BatchDecoder.DecodeAll.
+func stripeArena(t *testing.T, p *Page, arena, data []gf.Elem) {
+	t.Helper()
+	n, k := p.Code().N(), p.Code().K()
+	for i, v := range data {
+		s, j := p.Locate(i)
+		arena[s*n+j] = v
+	}
+	for s := 0; s < p.Depth(); s++ {
+		word := arena[s*n : (s+1)*n]
+		if err := p.Code().EncodeTo(word, word[:k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCodecZeroAllocs pins the workspace contract of the in-place page
+// codec: steady-state encode into a stripe-major arena through Locate
+// and decode (clean and with corrections) by one DecodeAll allocate
+// nothing, and the decode restores the encoded page.
+func TestCodecZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	p, _ := New(code, 4)
+	n := code.N()
+	data := randPage(rng, p)
+	arena := make([]gf.Elem, p.StoredSymbols())
+	truth := make([]gf.Elem, p.StoredSymbols())
+	stripeArena(t, p, truth, data)
+	bd := code.NewBatchDecoder()
+	batch := rs.Batch{Words: arena, Stride: n, Count: p.Depth()}
+	s, j := p.Locate(11)
+	run := func() {
+		stripeArena(t, p, arena, data)
+		if res, err := bd.DecodeAll(batch, nil); err != nil || res.Clean != p.Depth() {
+			t.Fatalf("clean page: err %v, result %+v", err, res)
+		}
+		arena[s*n+j] ^= 0x3C
+		res, err := bd.DecodeAll(batch, nil)
+		if err != nil || res.Corrected != 1 || res.Failed != 0 || res.Words[s].Corrections != 1 {
+			t.Fatalf("one corrupted symbol: err %v, result %+v", err, res)
+		}
+		if !slices.Equal(arena, truth) {
+			t.Fatal("decoded page differs from the encoded page")
+		}
+	}
+	run() // warm the result buffers before measuring
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("steady-state encode+decode allocates %.1f times per page", allocs)
+	}
+}
+
+// TestDecodeSequenceZeroAllocs pins the steady state of decoding a
+// sequence of pages through one reused BatchDecoder: a stable set of
+// stored erasures, mapped to per-stripe lists through Locate once,
+// costs no per-page heap allocation, and every page comes back intact.
+func TestDecodeSequenceZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	p, err := New(code36, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := code36.N()
+	const pages = 8
+	ers := make([][]int, p.Depth())
+	for _, e := range []int{7, 33, 80} {
+		s, j := p.Locate(e)
+		ers[s] = append(ers[s], j)
+	}
+	truth := make([][]gf.Elem, pages)
+	received := make([][]gf.Elem, pages)
+	for i := range truth {
+		truth[i] = make([]gf.Elem, p.StoredSymbols())
+		stripeArena(t, p, truth[i], randPage(rng, p))
+		received[i] = slices.Clone(truth[i])
+		for s, list := range ers {
+			for _, j := range list {
+				received[i][s*n+j] = gf.Elem(rng.Intn(256))
+			}
+		}
+	}
+	arena := make([]gf.Elem, p.StoredSymbols())
+	bd := code36.NewBatchDecoder()
+	batch := rs.Batch{Words: arena, Stride: n, Count: p.Depth()}
+	run := func() {
+		for i := range received {
+			copy(arena, received[i])
+			res, err := bd.DecodeAll(batch, ers)
+			if err != nil || res.Failed != 0 {
+				t.Fatalf("page %d: err %v, result %+v", i, err, res)
+			}
+			if !slices.Equal(arena, truth[i]) {
+				t.Fatalf("page %d: decoded page differs from the encoded page", i)
+			}
+		}
+	}
+	run() // warm the erasure-set cache and result buffers
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("steady-state page sequence allocates %.1f per run, want 0", allocs)
+	}
+}
+
 func BenchmarkEncodePageDepth8(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	p, _ := New(code, 8)
